@@ -7,7 +7,8 @@ that grows by a ~10% suffix:
   ``incremental`` aggregation, zero full ones) and re-scans only the
   unsettled window suffix: the appended windows plus at most one
   checkpoint stride of head windows, never the whole series.  Asserted
-  on the ``AGGREGATION_COUNTS`` / ``SCAN_WINDOWS`` counter deltas.
+  on the ``AGGREGATION_COUNTS`` / ``SCAN_COUNTS["windows"]`` counter
+  deltas.
 * **wall clock** — the warm path beats the cold path by at least
   ``MIN_SPEEDUP``, best-of-``ROUNDS``, with bit-identity of every
   per-measure result gating the timings (a fast wrong answer fails
@@ -36,7 +37,7 @@ from repro.graphseries.aggregation import (
 )
 from repro.linkstream.stream import LinkStream
 from repro.reporting import render_table
-from repro.temporal.reachability import SCAN_COUNTS, SCAN_WINDOWS
+from repro.temporal.reachability import SCAN_COUNTS
 
 #: Dense synthetic workload, same family as the scan-kernel ablation:
 #: every pair linked once, uniform in time, coarse windows.  The last
@@ -81,7 +82,7 @@ def _split_stream() -> tuple[LinkStream, LinkStream]:
 
 
 def _windows_scanned() -> int:
-    return sum(SCAN_WINDOWS.values())
+    return SCAN_COUNTS["windows"]
 
 
 def test_incremental_append_ablation(benchmark, capsys):

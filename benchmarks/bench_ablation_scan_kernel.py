@@ -1,12 +1,14 @@
 """Ablation — batched vs legacy backward-scan kernel.
 
-The backward scan used to walk one Python iteration per source row per
-window; the batched kernel packs each ``(arrival, hop)`` cell into one
-int64 lexicographic key and applies a whole window with a handful of
-vectorized passes (see the *Scan kernels* section of
-``repro.temporal.reachability``).  This bench pins both claims of that
-rewrite on a single dense synthetic stream:
+The legacy scan walks one Python iteration per source row per window;
+the batched kernel packs each ``(arrival, hop)`` cell into one int64
+lexicographic key and applies a whole window with a handful of
+vectorized passes, and ``scan_series`` picks one from window density
+(see the *Scan kernels* section of ``repro.temporal.reachability``).
+This bench forces each kernel by moving the density threshold and pins
+three claims on a single dense synthetic stream:
 
+* choice — the density choice runs this stream on the batched kernel;
 * wall time — the batched kernel must beat the legacy loop by at least
   ``MIN_SPEEDUP`` on a dense stream (n >= 500), best-of-``ROUNDS``
   interleaved so a scheduling hiccup cannot fake (or hide) the win;
@@ -18,14 +20,17 @@ rewrite on a single dense synthetic stream:
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from time import perf_counter
 
+import pytest
 from _harness import emit
 
 from repro.generators import time_uniform_stream
 from repro.graphseries import aggregate
 from repro.reporting import render_table
-from repro.temporal import CountingCollector, scan_series
+from repro.temporal import CountingCollector, reachability, scan_series
 from repro.temporal.reachability import DistanceTotals
 
 #: Dense synthetic workload: every pair linked once, uniform in time —
@@ -40,10 +45,21 @@ MIN_SPEEDUP = 3.0
 ROUNDS = 3
 
 
+@contextmanager
+def _forced(kernel):
+    """Run the enclosed scans on ``kernel``: a zero density threshold
+    forces the batched kernel, an infinite one the legacy loop."""
+    threshold = 0.0 if kernel == "batched" else math.inf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reachability, "BATCHED_MIN_HOPS_PER_WINDOW", threshold)
+        yield
+
+
 def _consumer_state(series, kernel):
     counts = CountingCollector()
     totals = DistanceTotals()
-    result = scan_series(series, [counts, totals], kernel=kernel)
+    with _forced(kernel):
+        result = scan_series(series, [counts, totals])
     return (
         result.num_trips,
         counts.num_trips,
@@ -61,6 +77,9 @@ def _consumer_state(series, kernel):
 def test_scan_kernel_ablation(benchmark, capsys):
     stream = time_uniform_stream(NUM_NODES, 1, SPAN, seed=3)
     series = aggregate(stream, DELTA)
+    assert reachability._batched_pays(series), (
+        "the density choice must run the dense ablation stream batched"
+    )
 
     def compare():
         # Full consumer state first: the oracle check gates the timings.
@@ -74,9 +93,10 @@ def test_scan_kernel_ablation(benchmark, capsys):
         trips = {}
         for _ in range(ROUNDS):
             for kernel in ("batched", "legacy"):
-                start = perf_counter()
-                result = scan_series(series, [], kernel=kernel)
-                timings[kernel].append(perf_counter() - start)
+                with _forced(kernel):
+                    start = perf_counter()
+                    result = scan_series(series, [])
+                    timings[kernel].append(perf_counter() - start)
                 trips[kernel] = result.num_trips
         assert trips["batched"] == trips["legacy"]
         best = {kernel: min(elapsed) for kernel, elapsed in timings.items()}

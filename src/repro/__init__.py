@@ -18,10 +18,9 @@ Quickstart::
     grown = stream.extend([(a, c, 9)])
     print(occupancy_method(grown).describe())
 
-Every scan-backed quantity above runs on the batched backward-scan
-kernel by default; ``REPRO_SCAN_KERNEL=legacy`` (or
-``scan_series(..., kernel="legacy")``) switches to the per-source
-reference loop — bit-identical, just slower — see *Scan kernels* below.
+Every scan-backed quantity above picks its backward-scan kernel per Δ
+from the aggregated series' window density — bit-identical either way,
+only the speed differs; see *Scan kernels* below.
 
 Traces too big to re-read whole?  Ingest once into a partitioned
 dataset catalog and analyze spans out of core (see *Dataset catalog &
@@ -150,29 +149,32 @@ results by construction.
 Scan kernels
 ------------
 The backward reachability scan — the ``O(nM)`` engine every measure
-rides — ships two interchangeable kernels
-(:func:`repro.temporal.scan_series`, ``kernel=`` /
-``REPRO_SCAN_KERNEL``):
+rides — has two interchangeable kernels, and
+:func:`repro.temporal.scan_series` picks one per scan from the data:
 
-* ``batched`` (the default) vectorizes each window across *all* source
-  rows at once: the ``(arrival, hops)`` state stays packed into single
-  int64 lexicographic keys for the whole scan, segment minima run as
-  bucketed padded gathers, and collectors/accumulators are fed whole
-  batches (``record_batch`` / ``observe_rows``, with a per-source
-  adapter for consumers that only implement the classic protocol).
-* ``legacy`` is the original one-Python-iteration-per-source loop,
-  kept selectable as the in-tree oracle.
+* ``batched`` vectorizes each window across *all* source rows at once:
+  the ``(arrival, hops)`` state stays packed into single int64
+  lexicographic keys for the whole scan, segment minima run as bucketed
+  padded gathers, and collectors/accumulators are fed whole batches
+  (``record_batch`` / ``observe_rows``, with a per-source adapter for
+  consumers that only implement the classic protocol).
+* ``legacy`` is the original one-Python-iteration-per-source loop; it
+  is also the in-tree oracle the batched kernel is tested against.
 
-Both kernels are **bit-identical** — same trips in the same order, same
-collector and accumulator state, across directed/undirected input,
-``targets`` shards, ``include_self``, and every backend — so the kernel
-choice is deliberately *not* part of any cache key, and caches warmed
-by either kernel serve the other.  Reach for ``legacy`` when auditing a
-result against the reference implementation, when bisecting a suspected
-kernel bug (``benchmarks/bench_ablation_scan_kernel.py`` pins the >= 3x
-speedup *and* the equivalence), or from third-party consumers that want
-the strict one-``record``-call-per-source feeding order without the
-batch adapter in between.
+The choice follows window density: the series' directed hop rows
+(edges, doubled when undirected) per nonempty window.  Batching pays a
+fixed per-window setup, so it loses on windows holding about one link —
+the fine end of every paper Δ sweep, where the row loop is up to 1.7x
+faster — and wins from ~2.5 rows per window up, up to 5.8x on dense
+windows (measured on the paper replicas; the crossover is
+:data:`repro.temporal.reachability.BATCHED_MIN_HOPS_PER_WINDOW`).  One
+sweep thus runs each Δ on its faster kernel.  Both kernels are
+**bit-identical** — same trips in the same order, same collector and
+accumulator state, across directed/undirected input, ``targets``
+shards, ``include_self``, checkpoint/resume scans and every backend —
+so the kernel is deliberately *not* part of any cache key and there is
+no knob to pick it.  ``benchmarks/bench_ablation_scan_kernel.py`` pins
+the dense-window speedup *and* the equivalence.
 
 Engine & caching
 ----------------

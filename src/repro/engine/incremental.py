@@ -352,7 +352,6 @@ class IncrementalScanSession:
         consumers,
         *,
         targets: np.ndarray | None = None,
-        kernel: str | None = None,
     ):
         """Run the backward scan, resuming from a warm record when possible.
 
@@ -379,7 +378,6 @@ class IncrementalScanSession:
                 items,
                 include_self=self._include_self,
                 targets=targets,
-                kernel=kernel,
             )
         plan = self._resume_plan(series)
         recorder = CheckpointRecorder()
@@ -388,7 +386,6 @@ class IncrementalScanSession:
             items,
             include_self=self._include_self,
             targets=targets,
-            kernel=kernel,
             checkpoints=recorder,
             resume=plan,
         )

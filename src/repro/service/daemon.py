@@ -499,7 +499,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message, "kind": kind})
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown: drop the connection after
+            # the error instead of reading (a negative read blocks until
+            # the client hangs up).
+            self.close_connection = True
+            raise ServiceError(f"invalid Content-Length {raw!r}", status=400)
         return self.rfile.read(length) if length else b""
 
     def _read_json(self) -> dict:

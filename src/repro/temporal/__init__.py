@@ -28,10 +28,6 @@ from repro.temporal.paths import (
     temporal_path_is_valid,
 )
 from repro.temporal.reachability import (
-    SCAN_BATCHES,
-    SCAN_KERNELS,
-    SCAN_ROWS,
-    SCAN_WINDOWS,
     CheckpointRecorder,
     DistanceStats,
     DistanceTotals,
@@ -63,10 +59,6 @@ __all__ = [
     "ScanCheckpoint",
     "CheckpointRecorder",
     "ResumePlan",
-    "SCAN_KERNELS",
-    "SCAN_ROWS",
-    "SCAN_WINDOWS",
-    "SCAN_BATCHES",
     "series_distance_stats",
     "ScanResult",
     "DistanceStats",

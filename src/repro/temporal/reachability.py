@@ -33,7 +33,7 @@ Scan kernels
 ------------
 Two kernels implement the identical per-window update rule:
 
-* ``batched`` (the default) — every source-row update within a window is
+* ``batched`` — every source-row update within a window is
   independent by construction (continuation reads come from the
   pre-window stash, never from intra-window writes), so the kernel
   vectorizes across sources.  It keeps each ``(A, H)`` cell packed into
@@ -51,17 +51,22 @@ Two kernels implement the identical per-window update rule:
   accumulators via ``observe_rows`` when they implement them, through a
   per-source adapter loop otherwise — so third-party consumers keep
   working unchanged.
-* ``legacy`` — the original per-source Python loop, kept selectable as
-  the in-tree oracle.
+* ``legacy`` — the original per-source Python loop.  It is also the
+  in-tree oracle for the batched kernel and the kernel of
+  :func:`scan_stream`.
 
-Both kernels are bit-identical — same trips in the same order, same
-collector states, same accumulator sums — across directed/undirected
-input, ``targets`` shards, ``include_self``, and every backend, so the
-kernel is *not* part of any cache key.  Select it per call
-(``scan_series(series, kernel="legacy")``) or process-wide via
-``REPRO_SCAN_KERNEL=batched|legacy``.  :data:`SCAN_ROWS`,
-:data:`SCAN_WINDOWS` and :data:`SCAN_BATCHES` tally how much work each
-kernel did (per process), next to the pass counter :data:`SCAN_COUNTS`.
+:func:`scan_series` picks the kernel per scan from the series itself:
+its mean count of directed hop rows per nonempty window (edges, doubled
+when undirected, over nonempty windows).  Batching pays a fixed
+per-window setup that only pays off once a window holds a few hops, so
+scans at or above :data:`BATCHED_MIN_HOPS_PER_WINDOW` run batched and
+sparser ones run the row loop.  One paper Δ sweep crosses both regimes —
+fine-Δ windows hold about one link, coarse-Δ windows hundreds — so the
+choice is made per Δ, not per process.  Both kernels are bit-identical —
+same trips in the same order, same collector states, same accumulator
+sums — across directed/undirected input, ``targets`` shards,
+``include_self``, checkpoint/resume scans and every backend, so the
+choice never enters a cache key.
 
 One scan, many measures
 -----------------------
@@ -123,61 +128,39 @@ INT_INF = np.iinfo(np.int64).max // 4
 #: Sentinel for "no hop count" (unreachable entries).
 HOP_INF = np.iinfo(np.int64).max // 4
 
-#: Scan instrumentation: how many backward passes this process has run.
-#: The measure-fusion tests and benches assert "one scan per Δ" against
-#: these counters; they are plain tallies with no behavioural effect
-#: (each worker process keeps its own).
-SCAN_COUNTS = {"series": 0, "stream": 0}
-#: Per-kernel work tallies (same no-behaviour caveats as
-#: :data:`SCAN_COUNTS`): ``SCAN_ROWS`` counts source-row updates,
-#: ``SCAN_WINDOWS`` nonempty windows processed, and ``SCAN_BATCHES``
-#: state commits — one per chunk for the batched kernel, one per row for
-#: the legacy loop.  Tests and benches assert how much work a scan did,
-#: not just that one happened: the two kernels must agree on rows and
-#: windows while ``batched`` commits in far fewer batches.
-SCAN_ROWS = {"batched": 0, "legacy": 0}
-SCAN_WINDOWS = {"batched": 0, "legacy": 0}
-SCAN_BATCHES = {"batched": 0, "legacy": 0}
+#: Scan instrumentation: how many backward passes this process has run
+#: (``series``, ``stream``) and how many nonempty windows they processed
+#: under either kernel (``windows``).  The measure-fusion tests and
+#: benches assert "one scan per Δ", and the incremental ones "fewer
+#: windows rescanned", against these counters; they are plain tallies
+#: with no behavioural effect (each worker process keeps its own).
+SCAN_COUNTS = {"series": 0, "stream": 0, "windows": 0}
 
-#: The kernels selectable by ``scan_series(kernel=...)`` and the
-#: ``REPRO_SCAN_KERNEL`` environment variable.
-SCAN_KERNELS = ("batched", "legacy")
+#: Directed hop rows per nonempty window at and above which
+#: :func:`scan_series` runs the batched kernel.  Measured on 2 vCPUs
+#: over the 28-Δ grids of the irvine (n=300) and manufacturing (n=153)
+#: paper replicas, the crossover is sharp and the same on both: the row
+#: loop is up to 1.7x faster at ~1 row per window, the two tie at 2.5
+#: (legacy/batched time 1.01 at 2.52 rows, 1.04 at 2.69), and the
+#: batched kernel is up to 5.8x faster on dense windows.  End to end
+#: (``analyze_s`` of ``perfbench/run.py``), always-batched /
+#: always-legacy / this per-scan choice ran paper-cold in 24.4 / 19.0 /
+#: 17.1 s and dense-process in 3.61 / 7.69 / 3.73 s.  The value never
+#: affects results, only speed.
+BATCHED_MIN_HOPS_PER_WINDOW = 2.5
 
 #: Upper bound on the cells (hop rows × state width) the batched kernel
 #: stages per chunk; chunks always hold whole sources.  At int64 this
-#: bounds each staged continuation matrix near 8 MB.  Overridable via
-#: ``REPRO_SCAN_BATCH_CELLS`` (tests force tiny budgets to exercise the
-#: multi-chunk path; the value never affects results, only peak memory).
+#: bounds each staged continuation matrix near 8 MB.  The value never
+#: affects results, only peak memory.
 BATCH_CELL_BUDGET = 1 << 20
 
 
-def _resolve_kernel(kernel: str | None) -> str:
-    """Validate an explicit kernel choice or read ``REPRO_SCAN_KERNEL``."""
-    if kernel is None:
-        kernel = os.environ.get("REPRO_SCAN_KERNEL", "") or "batched"
-    if kernel not in SCAN_KERNELS:
-        raise ValidationError(
-            f"unknown scan kernel {kernel!r}; expected one of {SCAN_KERNELS}"
-        )
-    return kernel
-
-
-def _batch_cell_budget() -> int:
-    """The chunk budget, env-overridable (minimum one row's width)."""
-    override = os.environ.get("REPRO_SCAN_BATCH_CELLS", "")
-    if override:
-        try:
-            budget = int(override)
-        except ValueError:
-            raise ValidationError(
-                f"REPRO_SCAN_BATCH_CELLS must be an integer, got {override!r}"
-            ) from None
-        if budget < 1:
-            raise ValidationError(
-                f"REPRO_SCAN_BATCH_CELLS must be positive, got {budget}"
-            )
-        return budget
-    return BATCH_CELL_BUDGET
+def _batched_pays(series: GraphSeries) -> bool:
+    """Whether ``series`` is dense enough for the batched kernel."""
+    windows = series.nonempty_steps().size
+    hops = series.edge_steps.size * (1 if series.directed else 2)
+    return hops >= BATCHED_MIN_HOPS_PER_WINDOW * max(windows, 1)
 
 
 @dataclass(frozen=True)
@@ -900,10 +883,10 @@ def _process_group(
 ) -> int:
     """Apply one window's hops to the state; returns trips recorded.
 
-    The **legacy** kernel: one Python iteration per source row, kept
-    selectable (``kernel="legacy"``) as the in-tree oracle for the
-    batched kernel (:func:`_process_group_batched`) and still used by
-    :func:`scan_stream`.
+    The **legacy** kernel: one Python iteration per source row, run by
+    :func:`scan_series` on sparse series, by :func:`scan_stream`, and
+    the in-tree oracle for the batched kernel
+    (:func:`_process_group_batched`).
 
     ``us``/``vs`` are directed hops (already expanded for undirected
     input), deduplicated within the group.  All continuation reads come
@@ -925,9 +908,7 @@ def _process_group(
     stash_A = A[involved].copy()
     stash_H = H[involved].copy()
     trips_recorded = 0
-    SCAN_WINDOWS["legacy"] += 1
-    SCAN_ROWS["legacy"] += sources.size
-    SCAN_BATCHES["legacy"] += sources.size
+    SCAN_COUNTS["windows"] += 1
 
     for i in range(sources.size):
         u = int(sources[i])
@@ -1088,13 +1069,11 @@ def _process_group_batched(
     width = P.shape[1]
 
     seg_sizes = ends - starts
-    max_rows = max(_batch_cell_budget() // max(width, 1), 1)
+    max_rows = max(BATCH_CELL_BUDGET // max(width, 1), 1)
     bounds = _chunk_bounds(seg_sizes, max_rows)
     w_pos = np.searchsorted(involved, vs)
     trips_recorded = 0
-    SCAN_WINDOWS["batched"] += 1
-    SCAN_ROWS["batched"] += sources.size
-    SCAN_BATCHES["batched"] += bounds.size - 1
+    SCAN_COUNTS["windows"] += 1
 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         row_lo = starts[lo]
@@ -1250,7 +1229,6 @@ def scan_series(
     *,
     include_self: bool = False,
     targets: np.ndarray | None = None,
-    kernel: str | None = None,
     checkpoints: CheckpointRecorder | None = None,
     resume: ResumePlan | None = None,
 ) -> ScanResult:
@@ -1282,12 +1260,6 @@ def scan_series(
         in ``targets`` — the primitive behind within-Δ sharding.  A
         restricted :class:`DistanceTotals` holds partial sums; merge the
         shards before calling :meth:`~DistanceTotals.stats`.
-    kernel:
-        ``"batched"`` (the default), ``"legacy"``, or ``None`` to read
-        ``REPRO_SCAN_KERNEL``.  Both kernels are bit-identical (see the
-        module docstring's *Scan kernels* section), so the choice never
-        enters a cache key; ``legacy`` is the in-tree oracle the batched
-        kernel is verified against.
     checkpoints:
         Optional :class:`CheckpointRecorder` capturing bounded scan-state
         snapshots plus per-span consumer contributions for later resume.
@@ -1305,9 +1277,12 @@ def scan_series(
         windows above it.
 
     Both options change only how much work is redone, never any result.
+    The scan kernel follows the series' window density (see the module
+    docstring's *Scan kernels* section); it never changes any result
+    either.
     """
     SCAN_COUNTS["series"] += 1
-    batched = _resolve_kernel(kernel) == "batched"
+    batched = _batched_pays(series)
     n = series.num_nodes
     items = (
         []
@@ -1336,7 +1311,7 @@ def scan_series(
     # scan-wide constants, so the state stays packed for the whole scan.
     # Were the packed keys ever to overflow int64 (num_steps near 2**31),
     # the whole scan falls back to the legacy kernel — bit-identical by
-    # contract — and is tallied as legacy work.
+    # contract.
     a_inf = max(int(series.num_steps), 1)
     K = a_inf + 2
     if a_inf + 2 > (1 << 62) // K:
@@ -1469,19 +1444,10 @@ def series_distance_stats(
 def _blocked_block_cols(n: int, block_cols: int | None) -> int:
     """Resolve the destination-block width for blocked pair reachability.
 
-    Explicit argument wins; else ``REPRO_REACH_BLOCK_COLS``; else a width
-    sized so one block's working set (three int64 accumulator matrices
-    plus scan state, ~48 bytes per cell) stays near 64 MiB.
+    Explicit argument wins; else a width sized so one block's working
+    set (three int64 accumulator matrices plus scan state, ~48 bytes per
+    cell) stays near 64 MiB.
     """
-    if block_cols is None:
-        raw = os.environ.get("REPRO_REACH_BLOCK_COLS")
-        if raw is not None:
-            try:
-                block_cols = int(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"REPRO_REACH_BLOCK_COLS must be an integer, got {raw!r}"
-                ) from None
     if block_cols is None:
         return max(1, min(n, (64 << 20) // (48 * max(n, 1))))
     if block_cols < 1:
@@ -1495,7 +1461,6 @@ def blocked_pair_reachability(
     series: GraphSeries,
     *,
     block_cols: int | None = None,
-    kernel: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full per-pair reachability matrices, computed in destination blocks.
 
@@ -1510,8 +1475,8 @@ def blocked_pair_reachability(
     ``O(n * n)`` to ``O(n * block_cols)`` per block (the three output
     matrices still hold ``n * n``).
 
-    ``block_cols`` defaults to ``REPRO_REACH_BLOCK_COLS`` or an
-    automatic width targeting ~64 MiB of per-block working set.
+    ``block_cols`` defaults to an automatic width targeting ~64 MiB of
+    per-block working set.
     """
     n = series.num_nodes
     width = _blocked_block_cols(n, block_cols)
@@ -1521,7 +1486,7 @@ def blocked_pair_reachability(
     for lo in range(0, n, width):
         cols = np.arange(lo, min(lo + width, n), dtype=np.int64)
         accumulator = EarliestArrivalAccumulator()
-        scan_series(series, accumulator, targets=cols, kernel=kernel)
+        scan_series(series, accumulator, targets=cols)
         reach[:, cols] = accumulator.reach_steps
         dist[:, cols] = accumulator.dist_sum
         hops[:, cols] = accumulator.hops_sum
@@ -1578,7 +1543,7 @@ def scan_stream(
     would sum them in a different association order than per-source
     ``record`` calls — the one case where batching is not bit-exact.
     Series scans (integer window indices, integer durations) are where
-    the hot sweeps live; they default to the batched kernel.
+    the hot sweeps live; dense ones run the batched kernel.
     """
     SCAN_COUNTS["stream"] += 1
     n = stream.num_nodes

@@ -1,10 +1,13 @@
-"""Hypothesis strategies for property-based tests."""
+"""Hypothesis strategies and scan-kernel forcing shared by the tests."""
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import strategies as st
 
 from repro.linkstream import LinkStream
+from repro.temporal import reachability
 
 
 @st.composite
@@ -56,3 +59,23 @@ def occupancy_samples(draw, *, max_atoms: int = 30):
         )
     )
     return [float(a) for a in atoms], weights
+
+
+#: The ways a test runs ``scan_series``: the density choice, or one
+#: kernel forced through :func:`force_scan_kernel`.
+KERNEL_CHOICES = ("auto", "batched", "legacy")
+
+
+def force_scan_kernel(monkeypatch, kernel: str) -> None:
+    """Force every following ``scan_series`` onto one kernel.
+
+    The scan runs batched when its hop rows per window reach
+    ``BATCHED_MIN_HOPS_PER_WINDOW``, so a zero threshold forces the
+    batched kernel and an infinite one the legacy row loop; ``"auto"``
+    leaves the measured crossover in place.
+    """
+    if kernel != "auto":
+        threshold = 0.0 if kernel == "batched" else math.inf
+        monkeypatch.setattr(
+            reachability, "BATCHED_MIN_HOPS_PER_WINDOW", threshold
+        )

@@ -34,18 +34,18 @@ from repro.temporal import (
     DistanceTotals,
     EarliestArrivalAccumulator,
     ResumePlan,
-    SCAN_WINDOWS,
     TripListCollector,
     blocked_pair_reachability,
     bruteforce_pair_reachability,
     scan_series,
 )
+from repro.temporal.reachability import SCAN_COUNTS
 from repro.utils.errors import (
     AppendOrderError,
     LinkStreamError,
     ValidationError,
 )
-from tests.strategies import link_streams
+from tests.strategies import KERNEL_CHOICES, force_scan_kernel, link_streams
 
 
 @pytest.fixture(autouse=True)
@@ -341,21 +341,10 @@ class TestBlockedPairReachability:
         for got_matrix, expected_matrix in zip(got, expected):
             assert np.array_equal(got_matrix, expected_matrix)
 
-    def test_env_var_sets_block_width(self, monkeypatch):
-        series = aggregate(small_stream(n=6, m=60), 200.0)
-        monkeypatch.setenv("REPRO_REACH_BLOCK_COLS", "2")
-        got = blocked_pair_reachability(series)
-        expected = bruteforce_pair_reachability(series)
-        for got_matrix, expected_matrix in zip(got, expected):
-            assert np.array_equal(got_matrix, expected_matrix)
-
-    def test_invalid_block_width_rejected(self, monkeypatch):
+    def test_invalid_block_width_rejected(self):
         series = aggregate(small_stream(n=6, m=60), 200.0)
         with pytest.raises(ValidationError):
             blocked_pair_reachability(series, block_cols=0)
-        monkeypatch.setenv("REPRO_REACH_BLOCK_COLS", "many")
-        with pytest.raises(ValidationError):
-            blocked_pair_reachability(series)
 
 
 class TestIncrementalSession:
@@ -368,9 +357,9 @@ class TestIncrementalSession:
         cold_session.scan(_consumer_set())
 
         def windows(run):
-            before = dict(SCAN_WINDOWS)
+            before = SCAN_COUNTS["windows"]
             run()
-            return sum(SCAN_WINDOWS[k] - before[k] for k in SCAN_WINDOWS)
+            return SCAN_COUNTS["windows"] - before
 
         warm_consumers = _consumer_set()
         warm_session = IncrementalScanSession(grown, delta=delta)
@@ -455,34 +444,37 @@ def append_scenarios(draw):
 @given(
     scenario=append_scenarios(),
     delta=st.sampled_from([1.0, 2.0, 5.0]),
-    kernel=st.sampled_from(["batched", "legacy"]),
+    kernel=st.sampled_from(KERNEL_CHOICES),
 )
 def test_extend_analyze_bit_identical_to_from_scratch(scenario, delta, kernel):
     """The headline property: warm append-then-analyze == from-scratch.
 
     Random base x random append batch (possibly empty, possibly landing
-    in the base's last window) x Δ grid x both scan kernels: recording a
-    scan on the base, extending, and resuming must be bit-identical to a
-    cold scan of the rebuilt stream — same trips in the same order, same
-    accumulator matrices, same spliced series.
+    in the base's last window) x Δ grid x the density choice or either
+    forced scan kernel: recording a scan on the base, extending, and
+    resuming must be bit-identical to a cold scan of the rebuilt stream
+    — same trips in the same order, same accumulator matrices, same
+    spliced series.
     """
-    base, events = scenario
-    incremental.clear_incremental_store()
-    clear_aggregate_cache()
-    warm_base = IncrementalScanSession(base, delta=delta)
-    warm_base.series()
-    warm_base.scan(_consumer_set(), kernel=kernel)
-    grown = base.extend(events)
-    warm = IncrementalScanSession(grown, delta=delta)
-    warm_series = warm.series()
-    warm_consumers = _consumer_set()
-    warm.scan(warm_consumers, kernel=kernel)
+    with pytest.MonkeyPatch.context() as mp:
+        force_scan_kernel(mp, kernel)
+        base, events = scenario
+        incremental.clear_incremental_store()
+        clear_aggregate_cache()
+        warm_base = IncrementalScanSession(base, delta=delta)
+        warm_base.series()
+        warm_base.scan(_consumer_set())
+        grown = base.extend(events)
+        warm = IncrementalScanSession(grown, delta=delta)
+        warm_series = warm.series()
+        warm_consumers = _consumer_set()
+        warm.scan(warm_consumers)
 
-    scratch = scratch_equivalent(grown)
-    cold_series = aggregate(scratch, delta)
-    assert np.array_equal(warm_series.edge_steps, cold_series.edge_steps)
-    assert np.array_equal(warm_series.edge_sources, cold_series.edge_sources)
-    assert np.array_equal(warm_series.edge_targets, cold_series.edge_targets)
-    cold_consumers = _consumer_set()
-    scan_series(cold_series, cold_consumers, kernel=kernel)
-    assert _consumer_state(warm_consumers) == _consumer_state(cold_consumers)
+        scratch = scratch_equivalent(grown)
+        cold_series = aggregate(scratch, delta)
+        assert np.array_equal(warm_series.edge_steps, cold_series.edge_steps)
+        assert np.array_equal(warm_series.edge_sources, cold_series.edge_sources)
+        assert np.array_equal(warm_series.edge_targets, cold_series.edge_targets)
+        cold_consumers = _consumer_set()
+        scan_series(cold_series, cold_consumers)
+        assert _consumer_state(warm_consumers) == _consumer_state(cold_consumers)

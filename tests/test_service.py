@@ -10,10 +10,13 @@ cancel pending work naming the task the plan stopped at.
 
 from __future__ import annotations
 
+import http.client
+import json
 import re
 import threading
 import time
 from dataclasses import dataclass
+from urllib.parse import urlparse
 
 import pytest
 
@@ -344,6 +347,25 @@ class TestHTTPDaemon:
         with pytest.raises(ServiceError, match="API is under") as excinfo:
             daemon._request("GET", "/v2/health")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("length", ["many", "-5", "-1"])
+    def test_bad_content_length_is_400(self, daemon, length):
+        # Non-integer and most negative lengths used to surface as a
+        # 500; -1 blocked the handler on read(-1) until the client hung
+        # up.
+        url = urlparse(daemon.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/streams")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "Content-Length" in payload["error"]
+        assert daemon.health()["status"] == "ok"
 
     def test_bad_measures_is_client_error(self, daemon, events_file):
         fingerprint = daemon.upload_stream(str(events_file))

@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from strategies import link_streams
+from strategies import KERNEL_CHOICES, force_scan_kernel, link_streams
 
 from repro.core import analyze_stream
 from repro.datasets import (
@@ -583,9 +583,9 @@ class TestRoundTripProperty:
             reopened = open_dataset("prop", root=root)
             assert reopened.fingerprint() == stream.fingerprint()
             assert reopened == stream
-            for kernel in ("legacy", "batched"):
+            for kernel in KERNEL_CHOICES:
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setenv("REPRO_SCAN_KERNEL", kernel)
+                    force_scan_kernel(mp, kernel)
                     report_mem = analyze_stream(stream, num_deltas=5)
                     report_disk = analyze_stream(reopened, num_deltas=5)
                 assert render_analysis(report_mem) == render_analysis(
