@@ -16,6 +16,10 @@ that grows by a ~10% suffix:
 * **zero-recompute floor** — appending an *empty* batch after a warm
   engine run performs **zero** scans: the fingerprint is unchanged, so
   the sweep cache serves every measure without touching the series.
+* **packed checkpoints** — every stored checkpoint holds one packed key
+  per state cell in the scan's key dtype (at most 4 bytes on this
+  stream), never separate arrival/hop matrices; the record carries the
+  checkpoint bytes of every stored scan record.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from time import perf_counter
 from _harness import emit
 
 from repro.engine import SweepCache, SweepEngine, incremental_stats
-from repro.engine.incremental import clear_incremental_store
+from repro.engine.incremental import clear_incremental_store, stored_checkpoints
 from repro.engine.measures import OccupancyMeasure, ReachabilityMeasure
 from repro.engine.tasks import AnalysisTask
 from repro.generators import time_uniform_stream
@@ -118,6 +122,7 @@ def test_incremental_append_ablation(benchmark, capsys):
             for key in AGGREGATION_COUNTS
         }
         warm_windows = _windows_scanned() - windows_before
+        records = stored_checkpoints()
 
         # Bit-identity gates everything below.
         assert repr(warm_result) == repr(cold_result), (
@@ -137,6 +142,21 @@ def test_incremental_append_ablation(benchmark, capsys):
             f"suffix plus one checkpoint stride ({unsettled_bound}) is "
             f"justified"
         )
+        assert records and all(records), "warm scans must record checkpoints"
+        for checkpoints in records:
+            for checkpoint in checkpoints:
+                keys = checkpoint.P
+                assert keys.shape[0] == NUM_NODES and keys.itemsize <= 4, (
+                    f"checkpoint stores {keys.shape} keys of {keys.dtype}; "
+                    f"expected {NUM_NODES} rows of at most 4-byte keys"
+                )
+                assert checkpoint.nbytes == keys.size * keys.itemsize, (
+                    f"checkpoint holds {checkpoint.nbytes} bytes for "
+                    f"{keys.size} state cells of {keys.itemsize} bytes"
+                )
+        checkpoint_bytes = [
+            sum(c.nbytes for c in checkpoints) for checkpoints in records
+        ]
 
         # -- wall clock ----------------------------------------------------
         timings = {"cold": [], "warm": []}
@@ -173,9 +193,9 @@ def test_incremental_append_ablation(benchmark, capsys):
             ["zero-event append", 0.0, 0, 0, 0],
             ["speedup", best["cold"] / best["warm"], "", "", ""],
         ]
-        return rows, best, warm_windows, cold_windows
+        return rows, best, warm_windows, cold_windows, checkpoint_bytes
 
-    rows, best, warm_windows, cold_windows = benchmark.pedantic(
+    rows, best, warm_windows, cold_windows, checkpoint_bytes = benchmark.pedantic(
         compare, rounds=1, iterations=1
     )
     speedup = best["cold"] / best["warm"]
@@ -204,6 +224,7 @@ def test_incremental_append_ablation(benchmark, capsys):
             "cold_scan_windows": cold_windows,
             "suffix_start_window": suffix_start,
             "incremental_store": incremental_stats(),
+            "checkpoint_bytes_per_record": checkpoint_bytes,
         },
     )
 

@@ -153,11 +153,14 @@ rides — has two interchangeable kernels, and
 :func:`repro.temporal.scan_series` picks one per scan from the data:
 
 * ``batched`` vectorizes each window across *all* source rows at once:
-  the ``(arrival, hops)`` state stays packed into single int64
-  lexicographic keys for the whole scan, segment minima run as bucketed
-  padded gathers, and collectors/accumulators are fed whole batches
-  (``record_batch`` / ``observe_rows``, with a per-source adapter for
-  consumers that only implement the classic protocol).
+  the ``(arrival, hops)`` state stays packed into single lexicographic
+  integer keys for the whole scan — in the narrowest dtype the series
+  length allows, int32 for up to ~46,000 windows — segment minima run
+  as bucketed padded gathers, and collectors/accumulators are fed whole
+  batches (``record_batch`` with int64 trip arrays; ``observe_rows``
+  with the packed old/new rows plus ``K`` and ``a_inf``, and a
+  per-source adapter feeding unpacked rows to consumers that only
+  implement the classic protocol).
 * ``legacy`` is the original one-Python-iteration-per-source loop; it
   is also the in-tree oracle the batched kernel is tested against.
 
@@ -254,8 +257,9 @@ untouched.  The append pipeline makes growth incremental end to end:
   re-windows only the appended suffix and splices it onto the cached
   prefix — bit-identical to aggregating the grown stream whole.
 * **Settled-boundary scan resume.**  The backward scan checkpoints its
-  packed per-window state at ~``sqrt(num_windows)`` boundaries (memory
-  capped, ``REPRO_CHECKPOINT_MAX_BYTES``).  On re-analysis after an
+  per-window state at ~``sqrt(num_windows)`` boundaries as one packed
+  key matrix in the scan's key dtype (memory capped before anything is
+  copied, ``REPRO_CHECKPOINT_MAX_BYTES``).  On re-analysis after an
   append, the scan restarts from the new end and stops at the first
   checkpoint whose incoming state matches the recorded one — the
   *settled boundary* — splicing every earlier window's collector and

@@ -185,6 +185,18 @@ def incremental_stats() -> dict:
         }
 
 
+def stored_checkpoints() -> list[tuple]:
+    """The checkpoints of every stored scan record, one tuple per record
+    (read-only :class:`~repro.temporal.reachability.ScanCheckpoint`
+    objects, for benches and tests sizing the store)."""
+    with _STORE_LOCK:
+        return [
+            record.checkpoints
+            for entry in _STORE.values()
+            for record in entry.scans.values()
+        ]
+
+
 def clear_incremental_store() -> None:
     """Drop every cached series and scan record (counters persist)."""
     with _STORE_LOCK:

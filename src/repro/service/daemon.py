@@ -469,6 +469,17 @@ _ERROR_KINDS = {
 }
 
 
+def _int_field(payload: dict, name: str, default: int) -> int:
+    """An integer request field; a 400 naming the field when it is not."""
+    value = payload.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ServiceError(
+            f"{name!r} must be an integer, got {value!r}", status=400
+        ) from None
+
+
 class _ServiceHandler(BaseHTTPRequestHandler):
     """JSON wire over :class:`AnalysisService` (one instance per request,
     many at once — the server is threading)."""
@@ -518,7 +529,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return {}
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or undecodable bytes
             raise ServiceError(f"invalid JSON body: {exc}", status=400) from None
         if not isinstance(payload, dict):
             raise ServiceError("JSON body must be an object", status=400)
@@ -554,7 +565,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         elif route == ("GET", "streams"):
             self._send_json(200, {"streams": service.list_streams()})
         elif route == ("POST", "streams"):
-            text = self._read_body().decode("utf-8")
+            try:
+                text = self._read_body().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ServiceError(
+                    f"stream body is not UTF-8 text: {exc}", status=400
+                ) from None
             fingerprint = service.register_stream_text(
                 text,
                 columns=query.get("columns", "u v t"),
@@ -594,14 +610,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 raise ServiceError("missing 'fingerprint'", status=400)
             common = {
                 "measures": payload.get("measures", "occupancy"),
-                "num_deltas": int(payload.get("num_deltas", 40)),
+                "num_deltas": _int_field(payload, "num_deltas", 40),
                 "timeout": payload.get("timeout"),
             }
             if parts[0] == "analyze":
                 job = service.submit_analyze(
                     fingerprint,
                     method=payload.get("method", "mk"),
-                    refine=int(payload.get("refine", 0)),
+                    refine=_int_field(payload, "refine", 0),
                     validate=bool(payload.get("validate", False)),
                     **common,
                 )

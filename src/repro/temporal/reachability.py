@@ -37,20 +37,24 @@ Two kernels implement the identical per-window update rule:
   independent by construction (continuation reads come from the
   pre-window stash, never from intra-window writes), so the kernel
   vectorizes across sources.  It keeps each ``(A, H)`` cell packed into
-  a single int64 lexicographic key ``A * K + H`` for the *whole* scan
+  a single lexicographic integer key ``A * K + H`` for the *whole* scan
   (``K`` and the infinity sentinel are analytic scan-wide constants:
   arrivals are window indices and no minimal trip exceeds ``num_steps``
   hops), so one vectorized minimum over the packed keys — segment minima
   via size-bucketed padded gathers over the hop rows sorted by source —
   selects the earliest arrival with the fewest-hops tie-break for free.
-  Direct-hop arrivals scatter in one shot and all updated rows commit
-  with a single fancy-indexed write; rows unpack back into ``(A, H)``
-  only where a consumer looks at them.  The staged ``(hops × width)``
-  working set is chunked (whole sources per chunk) to bound memory.
-  Consumers are fed in batch too: collectors via ``record_batch`` and
-  accumulators via ``observe_rows`` when they implement them, through a
-  per-source adapter loop otherwise — so third-party consumers keep
-  working unchanged.
+  The keys live in the narrowest signed integer dtype that holds the
+  largest key the scan can form (:func:`_key_dtype`): int32 for any
+  scan of up to ~46,000 windows, int16 or int8 for short ones, int64
+  beyond.  Direct-hop arrivals scatter in one shot and all updated rows
+  commit with a single fancy-indexed write.  The staged ``(hops ×
+  width)`` working set is chunked (whole sources per chunk) to bound
+  memory.  Consumers are fed in batch too: collectors via
+  ``record_batch`` (trip arrays unpacked to int64) and accumulators via
+  ``observe_rows``, which receives the packed old/new rows with ``K``
+  and ``a_inf`` and folds them directly; consumers without the batch
+  methods get a per-source adapter loop over unpacked rows — so
+  third-party consumers keep working unchanged.
 * ``legacy`` — the original per-source Python loop.  It is also the
   in-tree oracle for the batched kernel and the kernel of
   :func:`scan_stream`.
@@ -150,9 +154,9 @@ SCAN_COUNTS = {"series": 0, "stream": 0, "windows": 0}
 BATCHED_MIN_HOPS_PER_WINDOW = 2.5
 
 #: Upper bound on the cells (hop rows × state width) the batched kernel
-#: stages per chunk; chunks always hold whole sources.  At int64 this
-#: bounds each staged continuation matrix near 8 MB.  The value never
-#: affects results, only peak memory.
+#: stages per chunk; chunks always hold whole sources.  This bounds each
+#: staged continuation matrix near 4 MB at int32 keys (8 MB at int64).
+#: The value never affects results, only peak memory.
 BATCH_CELL_BUDGET = 1 << 20
 
 
@@ -178,6 +182,24 @@ class DistanceStats:
     mean_distance_hops: float
     reachable_fraction: float
     reachable_count: int
+
+
+def _finite_totals(P: np.ndarray, K: int, a_inf: int) -> tuple[int, int, int]:
+    """``(Σ A, #finite, Σ H)`` over the finite cells of packed keys ``P``.
+
+    Sums whole arrays in the keys' own dtype instead of masking: every
+    infinite cell holds the canonical key ``a_inf * K + (K - 1)``, so
+    its ``A == a_inf`` and ``H == K - 1`` come back out in closed form.
+    Components are bounded by ``K``, so the int64 sums never overflow.
+    """
+    A = P // K
+    H = P - A * K
+    infinite = int(np.count_nonzero(A == a_inf))
+    return (
+        int(A.sum(dtype=np.int64)) - a_inf * infinite,
+        P.size - infinite,
+        int(H.sum(dtype=np.int64)) - (K - 1) * infinite,
+    )
 
 
 class DistanceTotals:
@@ -251,29 +273,33 @@ class DistanceTotals:
         self,
         sources: np.ndarray,
         step: int,
-        old_A: np.ndarray,
-        old_H: np.ndarray,
-        new_A: np.ndarray,
-        new_H: np.ndarray,
+        old_P: np.ndarray,
+        new_P: np.ndarray,
+        K: int,
+        a_inf: int,
         self_cols: np.ndarray,
     ) -> None:
-        """Vectorized :meth:`observe_row` over one batch of source rows.
+        """Vectorized :meth:`observe_row` over one batch of packed rows.
 
-        ``old_A``/``old_H``/``new_A``/``new_H`` are ``(len(sources),
-        width)`` matrices, ``self_cols`` the per-row diagonal column
-        (-1 where the target restriction excludes the row's node).  The
-        totals are sums of exact integers, so folding the whole batch at
-        once is bit-identical to per-row :meth:`observe_row` calls.
+        ``old_P``/``new_P`` are ``(len(sources), width)`` matrices of the
+        batched kernel's packed keys ``A * K + H`` (any integer dtype): a
+        cell is finite when its key is below ``a_inf * K``, and infinite
+        cells hold the canonical ``a_inf * K + (K - 1)``.
+        ``self_cols`` is the per-row diagonal column (-1 where the target
+        restriction excludes the row's node).  The totals are sums of
+        exact integers, so this is bit-identical to per-row
+        :meth:`observe_row` calls on the unpacked rows.
         """
-        old_finite = old_A < INT_INF
-        new_finite = new_A < INT_INF
         diag_rows = np.flatnonzero(self_cols >= 0)
-        if diag_rows.size:
-            old_finite[diag_rows, self_cols[diag_rows]] = False
-            new_finite[diag_rows, self_cols[diag_rows]] = False
-        self.S += int(new_A[new_finite].sum()) - int(old_A[old_finite].sum())
-        self.C += int(new_finite.sum()) - int(old_finite.sum())
-        self.SH += int(new_H[new_finite].sum()) - int(old_H[old_finite].sum())
+        diag_cols = self_cols[diag_rows]
+        for sign, P in ((1, new_P), (-1, old_P)):
+            S, C, SH = _finite_totals(P, K, a_inf)
+            diag_S, diag_C, diag_SH = _finite_totals(
+                P[diag_rows, diag_cols], K, a_inf
+            )
+            self.S += sign * (S - diag_S)
+            self.C += sign * (C - diag_C)
+            self.SH += sign * (SH - diag_SH)
 
     def close_run(self, t_low: int, t_high: int) -> None:
         """Fold the current state into the sums for departures in
@@ -489,38 +515,37 @@ class EarliestArrivalAccumulator:
         self,
         sources: np.ndarray,
         step: int,
-        old_A: np.ndarray,
-        old_H: np.ndarray,
-        new_A: np.ndarray,
-        new_H: np.ndarray,
+        old_P: np.ndarray,
+        new_P: np.ndarray,
+        K: int,
+        a_inf: int,
         self_cols: np.ndarray,
     ) -> None:
-        """Vectorized :meth:`observe_row` over one batch of source rows.
+        """Vectorized :meth:`observe_row` over one batch of packed rows.
 
-        Folds every row's outgoing values over its pending departure run
-        ``[step + 1, row_hi]`` in one closed-form pass (all integer
-        arithmetic, so bit-identical to per-row folding), then mirrors
-        the whole batch.  ``sources`` are unique within a window by
-        construction, so the fancy-indexed ``+=`` never collides.
+        Takes the batched kernel's packed rows (see
+        :meth:`DistanceTotals.observe_rows`), folds every row's outgoing
+        values over its pending departure run ``[step + 1, row_hi]`` in
+        one closed-form pass (all integer arithmetic, so bit-identical
+        to per-row folding), then mirrors the whole batch unpacked.
+        ``sources`` are unique within a window by construction, so the
+        fancy-indexed ``+=`` never collides.
         """
         k = int(step)
         t_hi = self._row_hi[sources]
-        run_len = t_hi - k  # run [k + 1, t_hi] has t_hi - k steps
-        active = run_len > 0
-        finite = (old_A < INT_INF) & active[:, None]
-        if finite.any():
-            run = run_len[:, None]
-            t_total = ((k + 1 + t_hi) * run_len // 2)[:, None]
-            # Mask *before* multiplying: run * INT_INF would wrap int64.
-            a = np.where(finite, old_A, 0)
-            h = np.where(finite, old_H, 0)
-            self.reach_steps[sources] += np.where(finite, run, 0)
-            self.dist_sum[sources] += np.where(
-                finite, run * (a + 1) - t_total, 0
-            )
-            self.hops_sum[sources] += np.where(finite, run * h, 0)
-        self._A[sources] = new_A
-        self._H[sources] = new_H
+        run_len = t_hi - k  # run [k + 1, t_hi] has t_hi - k >= 0 steps
+        t_total = (k + 1 + t_hi) * run_len // 2
+        # Fold in the keys' own dtype: arrivals of infinite cells unpack
+        # to a_inf, which the zero weight masks out without overflow.
+        old_A = old_P // K
+        finite = old_A < a_inf
+        weight = finite * run_len[:, None]
+        self.reach_steps[sources] += weight
+        self.dist_sum[sources] += weight * (old_A + 1) - finite * t_total[
+            :, None
+        ]
+        self.hops_sum[sources] += weight * (old_P - old_A * K)
+        self._A[sources], self._H[sources] = _unpack_rows(new_P, K, a_inf)
         self._row_hi[sources] = k
 
     def close_run(self, t_low: int, t_high: int) -> None:
@@ -645,28 +670,30 @@ class ScanCheckpoint:
     it arrives at the same window.  ``last_processed`` is the previous
     (higher) nonempty window already applied; a resumed scan may only
     settle here when its own previous window matches, otherwise the
-    pending departure run differs.  The state is stored **canonically
-    unpacked** (``A``/``H`` with the :data:`INT_INF`/:data:`HOP_INF`
-    sentinels): packed keys depend on the series length through ``K``,
-    which an append changes, while the canonical form is comparable
-    across any two scans of the same node set — and across both kernels.
+    pending departure run differs.  The state is stored as one read-only
+    matrix ``P`` of packed keys ``A * K + H`` in the scan's key dtype
+    (:func:`_key_dtype`), infinite cells at ``a_inf * K + (K - 1)``,
+    whichever kernel ran the scan.  ``K`` and ``a_inf`` follow the
+    series length, which an append changes: a resumed scan with the same
+    ``K`` compares keys directly, and one whose ``K`` grew compares the
+    unpacked ``(A, H)`` of both sides.
     """
 
-    __slots__ = ("window", "last_processed", "A", "H")
+    __slots__ = ("window", "last_processed", "P", "K", "a_inf")
 
     def __init__(
-        self, window: int, last_processed: int, A: np.ndarray, H: np.ndarray
+        self, window: int, last_processed: int, P: np.ndarray, K: int, a_inf: int
     ) -> None:
-        A.setflags(write=False)
-        H.setflags(write=False)
+        P.setflags(write=False)
         self.window = int(window)
         self.last_processed = int(last_processed)
-        self.A = A
-        self.H = H
+        self.P = P
+        self.K = int(K)
+        self.a_inf = int(a_inf)
 
     @property
     def nbytes(self) -> int:
-        return int(self.A.nbytes) + int(self.H.nbytes)
+        return int(self.P.nbytes)
 
 
 class CheckpointRecorder:
@@ -705,27 +732,22 @@ class CheckpointRecorder:
         windows (keeps the checkpoint count near ``O(√num_windows)``)."""
         self._stride = max(int(np.sqrt(max(num_windows, 1))), 1)
 
-    def wants(self, iteration: int) -> bool:
-        """Whether the scan should capture before iteration ``iteration``
-        (0-based from the scan's start; the incoming state of iteration 0
-        is all-infinite and never worth storing)."""
-        if iteration < 1:
+    def wants(self, iteration: int, nbytes: int) -> bool:
+        """Whether the scan should capture its ``nbytes`` state before
+        iteration ``iteration`` (0-based from the scan's start; the
+        incoming state of iteration 0 is all-infinite and never worth
+        storing).  ``False`` once the byte budget cannot take the state,
+        so the scan never copies or packs a state it would discard."""
+        if iteration < 1 or self._bytes + nbytes > self._max_bytes:
             return False
         if iteration & (iteration - 1) == 0:
             return True
         return iteration % self._stride == 0
 
-    def capture(
-        self, window: int, last_processed: int, A: np.ndarray, H: np.ndarray
-    ) -> bool:
-        """Store one checkpoint; ``False`` when the byte budget is spent
-        (the scan then simply keeps feeding the current span)."""
-        cost = int(A.nbytes) + int(H.nbytes)
-        if self._bytes + cost > self._max_bytes:
-            return False
-        self.checkpoints.append(ScanCheckpoint(window, last_processed, A, H))
-        self._bytes += cost
-        return True
+    def capture(self, checkpoint: ScanCheckpoint) -> None:
+        """Store one checkpoint the scan was told it :meth:`wants`."""
+        self.checkpoints.append(checkpoint)
+        self._bytes += checkpoint.nbytes
 
     def store_span(self, consumers, trips: int) -> None:
         """Record one completed span's frozen consumers and trip count."""
@@ -989,21 +1011,56 @@ def _chunk_bounds(seg_sizes: np.ndarray, max_rows: int) -> np.ndarray:
     return np.asarray(bounds, dtype=np.int64)
 
 
+def _key_dtype(a_inf: int, K: int) -> np.dtype | None:
+    """The narrowest signed integer dtype holding every packed key of a
+    scan with caps ``a_inf`` and ``K``, or ``None`` when even int64
+    cannot.
+
+    The largest key a scan forms is the incremented infinity sentinel
+    ``(a_inf + 1) * K`` (see :func:`_process_group_batched`); every other
+    intermediate — stash gathers, arrival floors, direct-hop keys — stays
+    below it.  One dtype serves the live batched state and every
+    checkpoint of the scan, whichever kernel runs it.
+    """
+    top = (a_inf + 1) * K
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return None
+
+
 def _unpack_rows(
     P_rows: np.ndarray, K: int, a_inf: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unpack packed-key rows back into ``(A, H)`` with the sentinels
-    restored.  Committed infinite cells are always the canonical
-    ``a_inf * K + (K - 1)`` (never the incremented ``(a_inf + 1) * K``
-    candidate form, which loses every lexicographic minimum against it),
-    so the fixup mask is exactly ``A == a_inf``.
+    """Unpack packed-key rows (any integer dtype) back into int64
+    ``(A, H)`` with the sentinels restored.  Committed infinite cells
+    are always the canonical ``a_inf * K + (K - 1)`` (never the
+    incremented ``(a_inf + 1) * K`` candidate form, which loses every
+    lexicographic minimum against it), so the fixup mask is exactly
+    ``A == a_inf``.
     """
+    # Divide in the keys' own dtype (numpy's fast scalar-divisor path),
+    # then widen: both components fit whatever the key dtype.
     A = P_rows // K
-    H = P_rows - A * K
+    H = (P_rows - A * K).astype(np.int64, copy=False)
     infinite = A == a_inf
+    A = A.astype(np.int64, copy=False)
     A[infinite] = INT_INF
     H[infinite] = HOP_INF
     return A, H
+
+
+def _pack_state(
+    A: np.ndarray, H: np.ndarray, K: int, a_inf: int, dtype: np.dtype
+) -> np.ndarray:
+    """Pack the row loop's ``(A, H)`` state into keys of ``dtype`` — the
+    inverse of :func:`_unpack_rows`.  Finite arrivals lie below
+    ``a_inf`` and finite hop counts below ``K - 1``, so clamping maps
+    exactly the sentinel cells onto the canonical infinite key."""
+    P = np.minimum(A, a_inf)
+    P *= K
+    P += np.minimum(H, K - 1)
+    return P.astype(dtype, copy=False)
 
 
 def _process_group_batched(
@@ -1024,13 +1081,14 @@ def _process_group_batched(
     recorded.  Bit-identical to :func:`_process_group`.
 
     ``P`` is the scan state with each ``(arrival, hop)`` pair packed
-    into a single int64 lexicographic key ``A * K + H`` — ``K`` above
+    into a single lexicographic integer key ``A * K + H`` — ``K`` above
     every finite hop the scan can produce, ``a_inf`` above every window
-    index, infinite cells at the ``a_inf * K + (K - 1)`` sentinel.  The
+    index, infinite cells at the ``a_inf * K + (K - 1)`` sentinel — in
+    the narrowest dtype holding every key (:func:`_key_dtype`).  The
     state stays packed across the whole scan (:func:`scan_series` picks
-    the caps analytically and unpacks rows only on demand), so a window
-    costs one stash gather and one commit write instead of separate
-    arrival/hop passes.
+    the caps analytically), so a window costs one stash gather and one
+    commit write instead of separate arrival/hop passes, and the stash
+    and candidate matrices share the state's dtype.
 
     Within a window, every source-row update is independent: all
     continuation reads come from the pre-window stash, never from
@@ -1044,10 +1102,11 @@ def _process_group_batched(
     vectorizable: reduceat's scalar inner loop is several times slower
     per cell); padding repeats each segment's first row, which is
     idempotent under ``min``.  Trip collectors are fed one flattened
-    batch per chunk (``record_batch`` when they implement it) and
-    accumulators one row-matrix batch (``observe_rows``); consumers
-    without the batch methods fall back to their per-source/per-row
-    protocol in exactly the legacy order.
+    batch per chunk (``record_batch`` when they implement it, trip
+    arrays unpacked to int64) and accumulators the chunk's packed
+    old/new row matrices (``observe_rows``); consumers without the batch
+    methods fall back to their per-source/per-row protocol, fed unpacked
+    rows in exactly the legacy order.
 
     The staged working set — up to ``(hops × width)`` continuation cells,
     inflated at most 50% by pad rows — is chunked over whole sources
@@ -1089,7 +1148,7 @@ def _process_group_batched(
         # waste at 50%), gather each bucket padded to its class width —
         # repeating the first row, min-idempotent — and reduce along the
         # pad axis in one vectorized sweep per bucket.
-        P_cand = np.empty((nseg, width), dtype=np.int64)
+        P_cand = np.empty((nseg, width), dtype=P.dtype)
         pending = np.ones(nseg, dtype=bool)
         k = 1
         while pending.any():
@@ -1144,26 +1203,29 @@ def _process_group_batched(
             self_cols = chunk_sources
         else:
             self_cols = col_of[chunk_sources]
-        if accumulators:
-            old_A, old_H = _unpack_rows(old_P, K, a_inf)
-            new_A, new_H = _unpack_rows(new_P, K, a_inf)
-            for accumulator in accumulators:
-                observe_rows = getattr(accumulator, "observe_rows", None)
-                if observe_rows is not None:
-                    observe_rows(
-                        chunk_sources, time_value, old_A, old_H, new_A,
-                        new_H, self_cols,
+        unpacked = None
+        for accumulator in accumulators:
+            observe_rows = getattr(accumulator, "observe_rows", None)
+            if observe_rows is not None:
+                observe_rows(
+                    chunk_sources, time_value, old_P, new_P, K, a_inf,
+                    self_cols,
+                )
+            else:
+                # Per-row adapter: third-party accumulators keep their
+                # observe_row protocol, fed unpacked rows in legacy
+                # (source) order.
+                if unpacked is None:
+                    unpacked = (
+                        *_unpack_rows(old_P, K, a_inf),
+                        *_unpack_rows(new_P, K, a_inf),
                     )
-                else:
-                    # Per-row adapter: third-party accumulators keep
-                    # their observe_row protocol, fed in legacy
-                    # (source) order.
-                    for i in range(chunk_sources.size):
-                        accumulator.observe_row(
-                            int(chunk_sources[i]), time_value, old_A[i],
-                            old_H[i], new_A[i], new_H[i],
-                            int(self_cols[i]),
-                        )
+                old_A, old_H, new_A, new_H = unpacked
+                for i in range(chunk_sources.size):
+                    accumulator.observe_row(
+                        int(chunk_sources[i]), time_value, old_A[i],
+                        old_H[i], new_A[i], new_H[i], int(self_cols[i]),
+                    )
 
         record = improved  # dead after the commit: safe to mutate
         if not include_self:
@@ -1177,8 +1239,9 @@ def _process_group_batched(
         if collectors and row_idx.size:
             trip_sources = chunk_sources[row_idx]
             # Recorded cells improved, hence are finite: unpacking the
-            # gathered keys needs no sentinel fixup.
-            cells = new_P[row_idx, col_idx]
+            # gathered keys needs no sentinel fixup.  Collectors see
+            # int64 trip arrays whatever the key dtype.
+            cells = new_P[row_idx, col_idx].astype(np.int64)
             arrivals = cells // K
             hops_out = cells - arrivals * K
             node_targets = col_idx if cols is None else cols[col_idx]
@@ -1305,29 +1368,41 @@ def scan_series(
     recorder = checkpoints
     if recorder is not None:
         recorder.begin(int(series.nonempty_steps().size))
-    # Analytic packing caps for the batched kernel: arrivals and window
-    # indices are < num_steps, and no minimal trip can take more than
-    # num_steps hops (each hop departs one window later).  Both caps are
-    # scan-wide constants, so the state stays packed for the whole scan.
-    # Were the packed keys ever to overflow int64 (num_steps near 2**31),
-    # the whole scan falls back to the legacy kernel — bit-identical by
-    # contract.
+    # Analytic packing caps: arrivals and window indices are <
+    # num_steps, and no minimal trip can take more than num_steps hops
+    # (each hop departs one window later).  Both caps are scan-wide
+    # constants, so the batched state stays packed for the whole scan,
+    # in the narrowest dtype its keys fit.  Were the keys ever to
+    # overflow int64 (num_steps near 2**31), the scan runs the legacy
+    # kernel — bit-identical by contract — and records no checkpoints.
     a_inf = max(int(series.num_steps), 1)
     K = a_inf + 2
-    if a_inf + 2 > (1 << 62) // K:
+    key_dtype = _key_dtype(a_inf, K)
+    if key_dtype is None:
         batched = False
+        recorder = None
     if batched:
-        P = np.full((n, width), a_inf * K + (K - 1), dtype=np.int64)
+        P = np.full((n, width), a_inf * K + (K - 1), dtype=key_dtype)
     else:
         A = np.full((n, width), INT_INF, dtype=np.int64)
         H = np.full((n, width), HOP_INF, dtype=np.int64)
+    state_bytes = 0 if key_dtype is None else n * width * key_dtype.itemsize
 
-    def canonical_state() -> tuple[np.ndarray, np.ndarray]:
-        # Kernel-agnostic state copies with the canonical sentinels, the
-        # form checkpoints are stored and compared in.
+    def packed_state() -> np.ndarray:
+        # A copy of the live state as packed keys: the checkpoint form.
         if batched:
-            return _unpack_rows(P, K, a_inf)
-        return A.copy(), H.copy()
+            return P.copy()
+        return _pack_state(A, H, K, a_inf, key_dtype)
+
+    def settles(ckpt: ScanCheckpoint) -> bool:
+        # Whether the live state equals a checkpoint's: keys compare
+        # directly under the same K, unpacked (A, H) across a grown K.
+        if ckpt.K == K:
+            live = P if batched else _pack_state(A, H, K, a_inf, key_dtype)
+            return np.array_equal(live, ckpt.P)
+        live_A, live_H = _unpack_rows(P, K, a_inf) if batched else (A, H)
+        ck_A, ck_H = _unpack_rows(ckpt.P, ckpt.K, ckpt.a_inf)
+        return np.array_equal(live_A, ck_A) and np.array_equal(live_H, ck_H)
 
     num_trips = 0
     last_processed: int | None = None
@@ -1343,25 +1418,25 @@ def scan_series(
     for step, u, v in series.edge_groups(reverse=True):
         if resume is not None and last_processed is not None:
             found = resume.candidate(step)
-            if found is not None and found[1].last_processed == last_processed:
-                cur_A, cur_H = canonical_state()
-                ckpt = found[1]
-                if np.array_equal(cur_A, ckpt.A) and np.array_equal(
-                    cur_H, ckpt.H
-                ):
-                    settled_index = found[0]
-                    break
-        if recorder is not None and recorder.wants(iteration):
-            ck_A, ck_H = canonical_state()
+            if (
+                found is not None
+                and found[1].last_processed == last_processed
+                and settles(found[1])
+            ):
+                settled_index = found[0]
+                break
+        if recorder is not None and recorder.wants(iteration, state_bytes):
             # last_processed is never None here: wants() skips iteration 0.
-            if recorder.capture(step, last_processed, ck_A, ck_H):
-                if captures:
-                    recorder.store_span(items, num_trips - span_trip_base)
-                    assembly.append(tuple(items))
-                captures += 1
-                span_trip_base = num_trips
-                items = [item.segment_handoff() for item in items]
-                collectors, accumulators = _split_consumers(items)
+            recorder.capture(
+                ScanCheckpoint(step, last_processed, packed_state(), K, a_inf)
+            )
+            if captures:
+                recorder.store_span(items, num_trips - span_trip_base)
+                assembly.append(tuple(items))
+            captures += 1
+            span_trip_base = num_trips
+            items = [item.segment_handoff() for item in items]
+            collectors, accumulators = _split_consumers(items)
         if accumulators and last_processed is not None:
             # The current state (built from windows > step) is the exact
             # reachability picture for every departure step t in

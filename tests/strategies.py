@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.linkstream import LinkStream
@@ -62,8 +63,9 @@ def occupancy_samples(draw, *, max_atoms: int = 30):
 
 
 #: The ways a test runs ``scan_series``: the density choice, or one
-#: kernel forced through :func:`force_scan_kernel`.
-KERNEL_CHOICES = ("auto", "batched", "legacy")
+#: kernel forced through :func:`force_scan_kernel` — the batched kernel
+#: on its narrowest keys, on int64 ("wide") keys, or the row loop.
+KERNEL_CHOICES = ("auto", "batched", "wide", "legacy")
 
 
 def force_scan_kernel(monkeypatch, kernel: str) -> None:
@@ -72,10 +74,21 @@ def force_scan_kernel(monkeypatch, kernel: str) -> None:
     The scan runs batched when its hop rows per window reach
     ``BATCHED_MIN_HOPS_PER_WINDOW``, so a zero threshold forces the
     batched kernel and an infinite one the legacy row loop; ``"auto"``
-    leaves the measured crossover in place.
+    leaves the measured crossover in place.  ``"wide"`` forces the
+    batched kernel and widens every scan's packed keys (live state and
+    checkpoints) to int64 through the key-dtype helper.
     """
     if kernel != "auto":
-        threshold = 0.0 if kernel == "batched" else math.inf
+        threshold = math.inf if kernel == "legacy" else 0.0
         monkeypatch.setattr(
             reachability, "BATCHED_MIN_HOPS_PER_WINDOW", threshold
         )
+    if kernel == "wide":
+        narrowest = reachability._key_dtype
+
+        def wide(a_inf, K):
+            if narrowest(a_inf, K) is None:
+                return None
+            return np.dtype(np.int64)
+
+        monkeypatch.setattr(reachability, "_key_dtype", wide)

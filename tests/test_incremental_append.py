@@ -26,6 +26,7 @@ from repro.graphseries.aggregation import (
     aggregate_cached,
     aggregate_prefix_extended,
     clear_aggregate_cache,
+    window_index,
 )
 from repro.linkstream import LinkStream
 from repro.temporal import (
@@ -37,6 +38,7 @@ from repro.temporal import (
     TripListCollector,
     blocked_pair_reachability,
     bruteforce_pair_reachability,
+    reachability,
     scan_series,
 )
 from repro.temporal.reachability import SCAN_COUNTS
@@ -329,6 +331,121 @@ class TestCheckpointResume:
         assert not recorder.checkpoints
         assert result.num_trips == baseline.num_trips
         assert _consumer_state(consumers) == _consumer_state(plain)
+
+
+    @pytest.mark.parametrize("kernel", ["batched", "legacy"])
+    def test_budget_below_one_state_packs_nothing(self, kernel, monkeypatch):
+        # The recorder checks a state's byte cost before the scan copies
+        # or packs it: a budget one byte short of a state builds no
+        # checkpoint at all, and the results stay bit-identical.
+        force_scan_kernel(monkeypatch, kernel)
+        built = []
+        pack = reachability._pack_state
+
+        def spy_pack(*args):
+            built.append("pack")
+            return pack(*args)
+
+        class SpyCheckpoint(reachability.ScanCheckpoint):
+            def __init__(self, *args):
+                built.append("checkpoint")
+                super().__init__(*args)
+
+        monkeypatch.setattr(reachability, "_pack_state", spy_pack)
+        monkeypatch.setattr(reachability, "ScanCheckpoint", SpyCheckpoint)
+        series = aggregate(small_stream(), 40.0)
+        unbounded = CheckpointRecorder()
+        scan_series(series, _consumer_set(), checkpoints=unbounded)
+        assert unbounded.checkpoints and built
+        state_bytes = unbounded.checkpoints[0].nbytes
+        assert state_bytes == series.num_nodes**2 * np.dtype(np.int16).itemsize
+
+        built.clear()
+        recorder = CheckpointRecorder(max_bytes=state_bytes - 1)
+        consumers = _consumer_set()
+        result = scan_series(series, consumers, checkpoints=recorder)
+        assert built == []
+        assert not recorder.checkpoints and recorder.nbytes == 0
+        plain = _consumer_set()
+        baseline = scan_series(series, plain)
+        assert result.num_trips == baseline.num_trips
+        assert _consumer_state(consumers) == _consumer_state(plain)
+
+    @pytest.mark.parametrize("kernel", KERNEL_CHOICES)
+    def test_resume_across_an_append_that_grows_the_key_base(
+        self, kernel, monkeypatch
+    ):
+        # The base scan (~150 windows) packs its checkpoints in int16;
+        # the append grows the series to ~225 windows, so K changes and
+        # the grown scan's keys are int32: settling must compare the
+        # unpacked states of both sides.  Re-analysing the grown series
+        # then settles on its own record at an unchanged K, against a
+        # record mixing both dtypes.
+        force_scan_kernel(monkeypatch, kernel)
+        delta = 40.0
+        base = small_stream(m=600, span=6000.0)
+        u, v, t = append_batch(base, m=40, span=3000.0)
+        grown = base.extend(u, v, t)
+        base_series = aggregate(base, delta)
+        grown_series = aggregate(grown, delta)
+        narrow = np.int64 if kernel == "wide" else np.int16
+        wide = np.int64 if kernel == "wide" else np.int32
+
+        def windows(run):
+            before = SCAN_COUNTS["windows"]
+            result = run()
+            return result, SCAN_COUNTS["windows"] - before
+
+        base_record = CheckpointRecorder()
+        scan_series(base_series, _consumer_set(), checkpoints=base_record)
+        assert {c.P.dtype for c in base_record.checkpoints} == {np.dtype(narrow)}
+
+        cold = _consumer_set()
+        cold_result, cold_windows = windows(
+            lambda: scan_series(grown_series, cold)
+        )
+        straddle = int(
+            window_index(t[:1], delta, float(base.t_min))[0]
+        )
+        plan = ResumePlan(
+            base_record.checkpoints,
+            base_record.spans,
+            base_record.span_trips,
+            limit=straddle,
+        )
+        grown_record = CheckpointRecorder()
+        warm = _consumer_set()
+        warm_result, warm_windows = windows(
+            lambda: scan_series(
+                grown_series, warm, checkpoints=grown_record, resume=plan
+            )
+        )
+        assert warm_windows < cold_windows
+        assert warm_result.num_trips == cold_result.num_trips
+        assert _consumer_state(warm) == _consumer_state(cold)
+        keys = {c.K for c in grown_record.checkpoints}
+        assert keys == {grown_series.num_steps + 2, base_series.num_steps + 2}
+        assert {c.P.dtype for c in grown_record.checkpoints} == {
+            np.dtype(narrow),
+            np.dtype(wide),
+        }
+
+        again = _consumer_set()
+        again_result, again_windows = windows(
+            lambda: scan_series(
+                grown_series,
+                again,
+                resume=ResumePlan(
+                    grown_record.checkpoints,
+                    grown_record.spans,
+                    grown_record.span_trips,
+                    limit=grown_series.num_steps,
+                ),
+            )
+        )
+        assert again_windows < warm_windows
+        assert again_result.num_trips == cold_result.num_trips
+        assert _consumer_state(again) == _consumer_state(cold)
 
 
 class TestBlockedPairReachability:

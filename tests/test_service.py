@@ -367,6 +367,24 @@ class TestHTTPDaemon:
         assert "Content-Length" in payload["error"]
         assert daemon.health()["status"] == "ok"
 
+    def test_non_utf8_stream_body_is_400(self, daemon):
+        with pytest.raises(ServiceError, match="not UTF-8") as excinfo:
+            daemon._request("POST", "/v1/streams", raw_body=b"0\t1\t\xff\n")
+        assert excinfo.value.status == 400
+        assert daemon.health()["status"] == "ok"
+
+    @pytest.mark.parametrize("value", ["abc", [3]])
+    def test_non_integer_num_deltas_is_400(self, daemon, events_file, value):
+        fingerprint = daemon.upload_stream(str(events_file))
+        with pytest.raises(ServiceError, match="'num_deltas'") as excinfo:
+            daemon._request(
+                "POST",
+                "/v1/analyze",
+                json_body={"fingerprint": fingerprint, "num_deltas": value},
+            )
+        assert excinfo.value.status == 400
+        assert daemon.health()["status"] == "ok"
+
     def test_bad_measures_is_client_error(self, daemon, events_file):
         fingerprint = daemon.upload_stream(str(events_file))
         with pytest.raises(ServiceError) as excinfo:
