@@ -1,57 +1,82 @@
-"""Ablation — batched vs legacy backward-scan kernel.
+"""Ablation — the packed-key scan paths vs the per-source row loop.
 
-The legacy scan walks one Python iteration per source row per window;
-the batched kernel packs each ``(arrival, hop)`` cell into one int64
-lexicographic key and applies a whole window with a handful of
-vectorized passes, and ``scan_series`` picks one from window density
-(see the *Scan kernels* section of ``repro.temporal.reachability``).
-This bench forces each kernel by moving the density threshold and pins
-three claims on a single dense synthetic stream:
+``scan_series`` keeps every scan on packed ``A * K + H`` keys and sends
+each window down one of two paths: the sparse row path when every
+source of the window holds exactly one hop (trips of a run of such
+windows reach the collectors as one batch), the batched kernel
+otherwise (see the *Scan kernels* section of
+``repro.temporal.reachability``).  The per-source row loop survives
+only as the int64-overflow fallback, and is the in-tree oracle here.
+This bench forces each path — the batched kernel by flagging no window
+sparse, the row loop by making the key-dtype helper report an overflow
+— and pins two workloads:
 
-* choice — the density choice runs this stream on the batched kernel;
-* wall time — the batched kernel must beat the legacy loop by at least
-  ``MIN_SPEEDUP`` on a dense stream (n >= 500), best-of-``ROUNDS``
-  interleaved so a scheduling hiccup cannot fake (or hide) the win;
-* bit-identity — trip counts on every timed round, and the full
-  collector/accumulator state (counts, extrema, distance totals) on a
-  dedicated pass per kernel.  The legacy kernel is the in-tree oracle:
-  any divergence fails the bench before any timing is reported.
+* dense — a single dense synthetic stream: the dispatch sends every
+  window to the batched kernel, which must beat the row loop by at
+  least ``MIN_DENSE_SPEEDUP`` wall-clock;
+* replica — the default 28-Δ sweep grid of the irvine paper replica,
+  whose fine end holds about one link per window: the default dispatch
+  must beat the row loop by at least ``MIN_REPLICA_SPEEDUP`` over the
+  grid's 28 scans.
+
+Timings are best-of-``ROUNDS``, interleaved, so a scheduling hiccup
+cannot fake (or hide) a win, and every timed round is gated on
+bit-identity: trip counts and the full collector/accumulator state of
+every scan must equal the row loop's before any timing is reported.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from time import perf_counter
 
+import numpy as np
 import pytest
 from _harness import emit
 
+from repro.core.occupancy import OccupancyCollector
+from repro.core.sweep import log_delta_grid
+from repro.datasets import load
 from repro.generators import time_uniform_stream
 from repro.graphseries import aggregate
 from repro.reporting import render_table
 from repro.temporal import CountingCollector, reachability, scan_series
 from repro.temporal.reachability import DistanceTotals
 
-#: Dense synthetic workload: every pair linked once, uniform in time —
-#: the same stream the sharding ablation uses — cut into coarse windows
-#: so the per-window scan work dominates aggregation.
+#: Dense synthetic workload: every pair linked once, uniform in time,
+#: cut into coarse windows so the per-window scan work dominates
+#: aggregation.
 NUM_NODES = 600
 SPAN = 100_000.0
 DELTA = SPAN / 64.0
 
-#: The acceptance claim of the kernel rewrite.
-MIN_SPEEDUP = 3.0
+#: Replica workload: the paper sweep's default grid on one replica.
+REPLICA = "irvine"
+NUM_DELTAS = 28
+
+#: The acceptance claims: the batched kernel on dense windows, and the
+#: default dispatch over a whole paper grid, each against the row loop.
+MIN_DENSE_SPEEDUP = 3.0
+MIN_REPLICA_SPEEDUP = 1.5
 ROUNDS = 3
 
 
 @contextmanager
 def _forced(kernel):
-    """Run the enclosed scans on ``kernel``: a zero density threshold
-    forces the batched kernel, an infinite one the legacy loop."""
-    threshold = 0.0 if kernel == "batched" else math.inf
+    """Run the enclosed scans on ``kernel``: ``"auto"`` (the default
+    dispatch), ``"batched"`` (no window flagged sparse) or ``"legacy"``
+    (the row loop, via the overflow fallback)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reachability, "BATCHED_MIN_HOPS_PER_WINDOW", threshold)
+        if kernel == "batched":
+            mp.setattr(
+                reachability,
+                "_sparse_windows",
+                lambda series: np.zeros(
+                    series.nonempty_steps().size, dtype=bool
+                ),
+            )
+        elif kernel == "legacy":
+            mp.setattr(reachability, "_key_dtype", lambda a_inf, K: None)
         yield
 
 
@@ -74,49 +99,97 @@ def _consumer_state(series, kernel):
     )
 
 
+def _occupancy_state(collector):
+    return (
+        collector.num_trips,
+        collector._ones,
+        collector._counts.tobytes(),
+    )
+
+
+def _timed_sweep(series_grid, kernel):
+    """Scan every series of the grid as the paper sweep does (one
+    occupancy collector per Δ); returns (seconds, per-Δ states)."""
+    states = []
+    with _forced(kernel):
+        start = perf_counter()
+        for series in series_grid:
+            collector = OccupancyCollector()
+            scan_series(series, collector)
+            states.append(_occupancy_state(collector))
+        elapsed = perf_counter() - start
+    return elapsed, states
+
+
+def _interleaved(series_grid, kernels):
+    """Best-of-ROUNDS interleaved timings, gated on identical states."""
+    timings = {kernel: [] for kernel in kernels}
+    reference = None
+    for _ in range(ROUNDS):
+        for kernel in kernels:
+            elapsed, states = _timed_sweep(series_grid, kernel)
+            if reference is None:
+                reference = states
+            assert states == reference, f"{kernel} diverged from the oracle"
+            timings[kernel].append(elapsed)
+    return {kernel: min(times) for kernel, times in timings.items()}
+
+
 def test_scan_kernel_ablation(benchmark, capsys):
     stream = time_uniform_stream(NUM_NODES, 1, SPAN, seed=3)
     series = aggregate(stream, DELTA)
-    assert reachability._batched_pays(series), (
-        "the density choice must run the dense ablation stream batched"
+    assert not reachability._sparse_windows(series).any(), (
+        "the dispatch must run every window of the dense stream batched"
+    )
+    replica = load(REPLICA, scale="paper", seed=0)
+    grid = [
+        aggregate(replica, float(delta))
+        for delta in log_delta_grid(replica, num=NUM_DELTAS)
+    ]
+    sparse_share = float(
+        np.mean(np.concatenate([reachability._sparse_windows(s) for s in grid]))
     )
 
     def compare():
         # Full consumer state first: the oracle check gates the timings.
-        states = {k: _consumer_state(series, k) for k in ("batched", "legacy")}
-        assert states["batched"] == states["legacy"], (
-            "batched kernel diverged from the legacy oracle: "
-            f"{states['batched']} != {states['legacy']}"
-        )
+        states = {
+            k: _consumer_state(series, k) for k in ("auto", "batched", "legacy")
+        }
+        for kernel in ("auto", "batched"):
+            assert states[kernel] == states["legacy"], (
+                f"{kernel} diverged from the row-loop oracle: "
+                f"{states[kernel]} != {states['legacy']}"
+            )
+        for replica_series in grid[:: NUM_DELTAS // 7]:
+            assert _consumer_state(replica_series, "auto") == _consumer_state(
+                replica_series, "legacy"
+            )
 
-        timings = {"batched": [], "legacy": []}
-        trips = {}
-        for _ in range(ROUNDS):
-            for kernel in ("batched", "legacy"):
-                with _forced(kernel):
-                    start = perf_counter()
-                    result = scan_series(series, [])
-                    timings[kernel].append(perf_counter() - start)
-                trips[kernel] = result.num_trips
-        assert trips["batched"] == trips["legacy"]
-        best = {kernel: min(elapsed) for kernel, elapsed in timings.items()}
+        dense = _interleaved([series], ("legacy", "batched"))
+        sweep = _interleaved(grid, ("legacy", "auto"))
         rows = [
-            [kernel, best[kernel], trips[kernel]]
-            for kernel in ("legacy", "batched")
+            ["dense", "legacy", dense["legacy"]],
+            ["dense", "batched", dense["batched"]],
+            ["dense", "speedup", dense["legacy"] / dense["batched"]],
+            [REPLICA, "legacy", sweep["legacy"]],
+            [REPLICA, "auto", sweep["auto"]],
+            [REPLICA, "speedup", sweep["legacy"] / sweep["auto"]],
         ]
-        rows.append(["speedup", best["legacy"] / best["batched"], ""])
-        return rows, best
+        return rows, dense, sweep
 
-    rows, best = benchmark.pedantic(compare, rounds=1, iterations=1)
+    rows, dense, sweep = benchmark.pedantic(compare, rounds=1, iterations=1)
     table = render_table(
-        ["kernel", "wall_seconds", "trips"],
+        ["workload", "path", "wall_seconds"],
         rows,
         title=(
-            f"Ablation — scan kernel (n={NUM_NODES}, "
-            f"{series.num_steps} windows, {stream.num_events} events)"
+            f"Ablation — scan paths (dense: n={NUM_NODES}, "
+            f"{series.num_steps} windows, {stream.num_events} events; "
+            f"{REPLICA}: {len(grid)} scans, "
+            f"{sparse_share:.0%} of windows sparse)"
         ),
     )
-    speedup = best["legacy"] / best["batched"]
+    dense_speedup = dense["legacy"] / dense["batched"]
+    replica_speedup = sweep["legacy"] / sweep["auto"]
     emit(
         capsys,
         "ablation_scan_kernel",
@@ -126,13 +199,24 @@ def test_scan_kernel_ablation(benchmark, capsys):
             "num_events": stream.num_events,
             "num_windows": series.num_steps,
             "delta": DELTA,
-            "legacy_seconds": float(best["legacy"]),
-            "batched_seconds": float(best["batched"]),
-            "speedup": float(speedup),
+            "legacy_seconds": float(dense["legacy"]),
+            "batched_seconds": float(dense["batched"]),
+            "speedup": float(dense_speedup),
+            "replica": REPLICA,
+            "replica_scans": len(grid),
+            "replica_sparse_share": sparse_share,
+            "replica_legacy_seconds": float(sweep["legacy"]),
+            "replica_auto_seconds": float(sweep["auto"]),
+            "replica_speedup": float(replica_speedup),
         },
     )
-    assert speedup >= MIN_SPEEDUP, (
-        f"batched kernel only {speedup:.2f}x faster than legacy "
-        f"({best['batched']:.3f}s vs {best['legacy']:.3f}s); "
-        f"need >= {MIN_SPEEDUP}x"
+    assert dense_speedup >= MIN_DENSE_SPEEDUP, (
+        f"batched kernel only {dense_speedup:.2f}x faster than the row "
+        f"loop ({dense['batched']:.3f}s vs {dense['legacy']:.3f}s); "
+        f"need >= {MIN_DENSE_SPEEDUP}x"
+    )
+    assert replica_speedup >= MIN_REPLICA_SPEEDUP, (
+        f"default dispatch only {replica_speedup:.2f}x faster than the row "
+        f"loop on the {REPLICA} sweep ({sweep['auto']:.3f}s vs "
+        f"{sweep['legacy']:.3f}s); need >= {MIN_REPLICA_SPEEDUP}x"
     )

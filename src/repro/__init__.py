@@ -18,9 +18,9 @@ Quickstart::
     grown = stream.extend([(a, c, 9)])
     print(occupancy_method(grown).describe())
 
-Every scan-backed quantity above picks its backward-scan kernel per Δ
-from the aggregated series' window density — bit-identical either way,
-only the speed differs; see *Scan kernels* below.
+Every scan-backed quantity above picks its backward-scan path per
+window of the aggregated series — bit-identical either way, only the
+speed differs; see *Scan kernels* below.
 
 Traces too big to re-read whole?  Ingest once into a partitioned
 dataset catalog and analyze spans out of core (see *Dataset catalog &
@@ -149,35 +149,41 @@ results by construction.
 Scan kernels
 ------------
 The backward reachability scan — the ``O(nM)`` engine every measure
-rides — has two interchangeable kernels, and
-:func:`repro.temporal.scan_series` picks one per scan from the data:
+rides — keeps its ``(arrival, hops)`` state packed into single
+lexicographic integer keys for the whole scan, in the narrowest dtype
+the series length allows (int32 for up to ~46,000 windows), and
+:func:`repro.temporal.scan_series` sends each window down one of two
+paths over that state:
 
-* ``batched`` vectorizes each window across *all* source rows at once:
-  the ``(arrival, hops)`` state stays packed into single lexicographic
-  integer keys for the whole scan — in the narrowest dtype the series
-  length allows, int32 for up to ~46,000 windows — segment minima run
-  as bucketed padded gathers, and collectors/accumulators are fed whole
-  batches (``record_batch`` with int64 trip arrays; ``observe_rows``
-  with the packed old/new rows plus ``K`` and ``a_inf``, and a
-  per-source adapter feeding unpacked rows to consumers that only
-  implement the classic protocol).
-* ``legacy`` is the original one-Python-iteration-per-source loop; it
-  is also the in-tree oracle the batched kernel is tested against.
+* the **sparse row path**, when every source of the window holds
+  exactly one hop (a single link, a matching, an in-star): a handful of
+  whole-array gathers, compares and one commit, with no sorting or
+  segment bookkeeping.  The paper's sweep starts at the stream
+  resolution, so this is most windows of a Δ grid (95% on the irvine
+  replica).  Trips of a run of consecutive sparse windows reach the
+  collectors as **one** fused batch.
+* the **batched kernel** otherwise: it vectorizes the window across
+  *all* source rows at once, segment minima running as bucketed padded
+  gathers.
 
-The choice follows window density: the series' directed hop rows
-(edges, doubled when undirected) per nonempty window.  Batching pays a
-fixed per-window setup, so it loses on windows holding about one link —
-the fine end of every paper Δ sweep, where the row loop is up to 1.7x
-faster — and wins from ~2.5 rows per window up, up to 5.8x on dense
-windows (measured on the paper replicas; the crossover is
-:data:`repro.temporal.reachability.BATCHED_MIN_HOPS_PER_WINDOW`).  One
-sweep thus runs each Δ on its faster kernel.  Both kernels are
-**bit-identical** — same trips in the same order, same collector and
-accumulator state, across directed/undirected input, ``targets``
-shards, ``include_self``, checkpoint/resume scans and every backend —
-so the kernel is deliberately *not* part of any cache key and there is
-no knob to pick it.  ``benchmarks/bench_ablation_scan_kernel.py`` pins
-the dense-window speedup *and* the equivalence.
+Collectors are fed whole batches (``record_batch`` with int64 trip
+arrays and a per-row ``dep`` array, in the row loop's window, source,
+destination order) and accumulators whole windows (``observe_rows``
+with the packed old/new rows plus ``K`` and ``a_inf``); consumers that
+only implement the classic protocol get adapters feeding per-source
+``record`` and per-row ``observe_row`` calls.  The original
+one-Python-iteration-per-source row loop remains only for
+:func:`repro.temporal.scan_stream` (float timestamps) and for a series
+whose packed keys would overflow int64; it is the oracle the packed
+paths are tested against.  All paths are **bit-identical** — same trips
+in the same order, same collector and accumulator state, across
+directed/undirected input, ``targets`` shards, ``include_self``,
+checkpoint/resume scans and every backend — so the path is deliberately
+*not* part of any cache key and there is no knob to pick it.
+``benchmarks/bench_ablation_scan_kernel.py`` pins the equivalence, the
+batched kernel's dense-window speedup over the row loop (>= 3x) and the
+default dispatch's speedup over the row loop on the irvine replica's
+whole 28-Δ sweep (>= 1.5x).
 
 Engine & caching
 ----------------
@@ -272,7 +278,7 @@ The engine drives all of this through
 content-keyed store (``REPRO_INCREMENTAL_MAX_BYTES`` caps it;
 ``REPRO_INCREMENTAL=0`` disables reuse entirely, ``repro cache stats``
 reports it) — so a warm sweep on a grown stream re-scans only the
-unsettled windows of each Δ, on either scan kernel, sharded or not,
+unsettled windows of each Δ, on any scan path, sharded or not,
 with results bit-identical to a cold run
 (``benchmarks/bench_ablation_incremental_append.py`` pins the >= 3x
 wall-clock win, the counter-verified work bounds, and the equivalence).
@@ -304,7 +310,7 @@ the stream fingerprint in the manifest.  ``repro datasets list | info
 [--verify] | index`` inspect, integrity-check, and rebuild the
 manifest; :func:`~repro.datasets.open_dataset` returns a lazy
 partition-backed stream whose analyses are bit-identical to the
-in-memory ones on both scan kernels — cache entries warmed by either
+in-memory ones on every scan path — cache entries warmed by one
 serve the other.  Corruption never passes silently: a missing or
 bit-flipped partition raises
 :class:`~repro.utils.errors.StorageError` naming the exact file.

@@ -85,20 +85,21 @@ class OccupancyCollector:
     def record_batch(
         self,
         sources: np.ndarray,
-        dep: float,
+        dep: np.ndarray,
         targets: np.ndarray,
         arrivals: np.ndarray,
         hops: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Consume one multi-source batch (the batched kernel's feed).
+        """Consume one multi-source batch (the packed scan's feed).
 
         Every per-trip quantity here (the ``hops/durations`` division,
         the exact atom at 1, the bin index) is elementwise and every
         tally an integer count, so folding the flattened batch is
         bit-identical to the per-source :meth:`record` calls — in exact
         mode the chunk list concatenates to the same value sequence
-        (rows arrive in legacy source-then-destination order).
+        (rows arrive in the row loop's window, source, destination
+        order, also across the windows of a fused batch).
         """
         if not targets.size:
             return

@@ -19,7 +19,7 @@ recognition into reuse for the two expensive stages of a sweep point:
 
 Both reuses are exact: the spliced series and the assembled consumers
 are bit-identical to from-scratch computation (property-tested across
-kernels, sharding, and straddling-window appends), which is why cache
+scan paths, sharding, and straddling-window appends), which is why cache
 keys never distinguish warm from cold evaluation.
 
 The store is process-global and bounded (``REPRO_INCREMENTAL_MAX_BYTES``,

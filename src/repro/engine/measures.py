@@ -73,13 +73,17 @@ The collector must implement the scan's consumer protocol (``record``
 for trip collectors, ``observe_row``/``close_run`` — optionally
 ``begin`` — for state accumulators) plus in-place ``merge`` and
 ``empty`` when the measure should shard.  Collectors may additionally
-implement the batched feeds to receive whole windows from the batched
-scan kernel in one call: ``record_batch`` gets flattened int64 trip
-arrays, and ``observe_rows(sources, step, old_P, new_P, K, a_inf,
-self_cols)`` gets the window's old and new state rows as packed keys
-``A * K + H`` in the scan's key dtype (finite where the key is below
-``a_inf * K``; unpack with ``A = key // K``, ``H = key - A * K``).
-Without them the kernel adapts back to per-source ``record`` / per-row
+implement the batched feeds to receive many trips or rows per call:
+``record_batch(sources, dep, targets, arrivals, hops, durations)`` gets
+flattened int64 trip arrays with ``sources`` and ``dep`` parallel to
+``targets`` — one chunk of a dense window, or a whole run of
+consecutive sparse windows fused into one batch, rows in the row loop's
+order (window descending, then source, then destination) — and
+``observe_rows(sources, step, old_P, new_P, K, a_inf, self_cols)`` gets
+one window's old and new state rows as packed keys ``A * K + H`` in the
+scan's key dtype (finite where the key is below ``a_inf * K``; unpack
+with ``A = key // K``, ``H = key - A * K``).  Without them the scan
+adapts back to one ``record`` call per ``(dep, source)`` run / per-row
 ``observe_row`` calls with unpacked int64 rows in the classic order, so
 plain collectors keep working unchanged.  ``finalize`` must fold into
 *fresh* accumulators: shard collectors may live in the sweep cache,

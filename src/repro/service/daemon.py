@@ -93,6 +93,11 @@ from repro.utils.timeunits import format_duration
 #: Service protocol version (the ``/v1/`` URL prefix).
 API_VERSION = "v1"
 
+#: Largest request body the daemon reads.  A declared ``Content-Length``
+#: above it is refused with a 413 before a byte is buffered; streams
+#: larger than this belong in a catalog (``repro datasets ingest``).
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 
 def _coalesce_key(kind: str, fingerprint: str, specs, **params) -> str:
     """Identity of a request for coalescing: the stream fingerprint, the
@@ -462,6 +467,7 @@ class AnalysisService:
 _ERROR_KINDS = {
     404: "not_found",
     409: "pending",
+    413: "too_large",
     429: "admission",
     504: "cancelled",
     400: "bad_request",
@@ -502,6 +508,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            # Tell the client not to reuse the connection (an unread or
+            # unbounded body left on it).
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -521,6 +531,15 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             # the client hangs up).
             self.close_connection = True
             raise ServiceError(f"invalid Content-Length {raw!r}", status=400)
+        if length > MAX_BODY_BYTES:
+            # Refuse before reading; the unread body makes the
+            # connection unusable for a further request.
+            self.close_connection = True
+            raise ServiceError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                status=413,
+            )
         return self.rfile.read(length) if length else b""
 
     def _read_json(self) -> dict:

@@ -14,16 +14,19 @@ legitimately common state for a shard whose nodes receive nothing).
 Merging disjoint shards reproduces exactly what an unsharded scan would
 have collected.
 
-The batched scan kernel feeds collectors whole *multi-source* batches —
-one flattened array set per window chunk — through ``record_batch``,
-with ``sources`` as an array parallel to ``targets`` (rows sorted by
-source, then destination: exactly the order per-source ``record`` calls
-would arrive in).  ``record_batch`` is optional: every built-in
-implements it natively (vectorized, bit-identical to the equivalent
-``record`` calls), and consumers without it are fed through
-:func:`record_batch_fallback`, which re-slices the batch into legacy
-per-source ``record`` calls — so third-party collectors keep working
-unchanged under either kernel.
+The packed series scan feeds collectors whole *multi-source* batches
+through ``record_batch``: ``sources`` and ``dep`` are int64 arrays
+parallel to ``targets``, one row per trip.  A batch holds one chunk of a
+dense window, or a whole run of consecutive sparse windows fused into
+one call; either way its rows are in the row loop's emission order —
+window descending, then source, then destination — so concatenating
+batches reproduces exactly the sequence per-source ``record`` calls
+would make.  ``record_batch`` is optional: every built-in implements it
+natively (vectorized, bit-identical to the equivalent ``record``
+calls), and consumers without it are fed through
+:func:`record_batch_fallback`, which re-slices the batch into one
+``record`` call per ``(dep, source)`` run — so third-party collectors
+keep working unchanged.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class TripCollector(Protocol):
 def record_batch_fallback(
     collector,
     sources: np.ndarray,
-    dep: float,
+    dep: np.ndarray,
     targets: np.ndarray,
     arrivals: np.ndarray,
     hops: np.ndarray,
@@ -63,22 +66,25 @@ def record_batch_fallback(
 ) -> None:
     """Feed a multi-source batch to a ``record``-only collector.
 
-    The adapter behind the batched kernel's consumer feed: slices the
-    flattened batch back into one ``record`` call per source, in the
-    order the rows arrive (sources nondecreasing — the legacy kernel's
+    The adapter behind the packed scan's collector feed: slices the
+    flattened batch back into one ``record`` call per run of equal
+    ``(dep, source)`` rows, in the order the rows arrive (the row loop's
     emission order), so a collector that never heard of ``record_batch``
-    sees byte-for-byte the same call sequence the legacy kernel makes.
+    sees byte-for-byte the same call sequence the row loop makes —
+    including across the windows of one fused batch.
     """
     if not sources.size:
         return
     starts = np.flatnonzero(
-        np.concatenate([[True], sources[1:] != sources[:-1]])
+        np.concatenate(
+            [[True], (sources[1:] != sources[:-1]) | (dep[1:] != dep[:-1])]
+        )
     )
     ends = np.append(starts[1:], sources.size)
     for lo, hi in zip(starts, ends):
         collector.record(
             int(sources[lo]),
-            dep,
+            dep[lo].item(),
             targets[lo:hi],
             arrivals[lo:hi],
             hops[lo:hi],
@@ -194,13 +200,14 @@ class TripListCollector:
     def record_batch(
         self,
         sources: np.ndarray,
-        dep: float,
+        dep: np.ndarray,
         targets: np.ndarray,
         arrivals: np.ndarray,
         hops: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Consume one multi-source batch (the batched kernel's feed).
+        """Consume one multi-source batch (the packed scan's feed;
+        ``dep`` is parallel to ``targets``).
 
         Appends the whole batch as one chunk.  Bit-identical to the
         per-source :meth:`record` calls of
@@ -217,7 +224,7 @@ class TripListCollector:
         self.duration_total += durations.sum().item()
         self._u.append(sources.astype(np.int64, copy=True))
         self._v.append(targets.copy())
-        self._dep.append(np.full(count, dep))
+        self._dep.append(dep.copy())
         self._arr.append(arrivals.copy())
         self._hops.append(hops.copy())
         self._dur.append(durations.copy())
@@ -343,13 +350,13 @@ class CountingCollector:
     def record_batch(
         self,
         sources: np.ndarray,
-        dep: float,
+        dep: np.ndarray,
         targets: np.ndarray,
         arrivals: np.ndarray,
         hops: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Consume one multi-source batch (the batched kernel's feed).
+        """Consume one multi-source batch (the packed scan's feed).
 
         Counts and maxima are order-free, so one batch fold is trivially
         identical to the per-source calls.
@@ -423,7 +430,7 @@ class ChainCollector:
     def record_batch(
         self,
         sources: np.ndarray,
-        dep: float,
+        dep: np.ndarray,
         targets: np.ndarray,
         arrivals: np.ndarray,
         hops: np.ndarray,
@@ -431,8 +438,8 @@ class ChainCollector:
     ) -> None:
         """Fan one multi-source batch out to every child — natively when
         the child implements ``record_batch``, through
-        :func:`record_batch_fallback` (per-source ``record`` calls in
-        legacy order) otherwise."""
+        :func:`record_batch_fallback` (per-``(dep, source)`` ``record``
+        calls in row-loop order) otherwise."""
         for collector in self._collectors:
             record_batch = getattr(collector, "record_batch", None)
             if record_batch is not None:

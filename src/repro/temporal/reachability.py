@@ -31,46 +31,57 @@ to ``arr - dep`` (Definition 4).
 
 Scan kernels
 ------------
-Two kernels implement the identical per-window update rule:
+:func:`scan_series` keeps every ``(A, H)`` cell packed into a single
+lexicographic integer key ``A * K + H`` for the *whole* scan (``K`` and
+the infinity sentinel are analytic scan-wide constants: arrivals are
+window indices and no minimal trip exceeds ``num_steps`` hops), so one
+minimum over packed keys selects the earliest arrival with the
+fewest-hops tie-break for free.  The keys live in the narrowest signed
+integer dtype that holds the largest key the scan can form
+(:func:`_key_dtype`): int32 for any scan of up to ~46,000 windows,
+int16 or int8 for short ones, int64 beyond.  Each window then takes one
+of two paths over that state:
 
-* ``batched`` — every source-row update within a window is
-  independent by construction (continuation reads come from the
-  pre-window stash, never from intra-window writes), so the kernel
-  vectorizes across sources.  It keeps each ``(A, H)`` cell packed into
-  a single lexicographic integer key ``A * K + H`` for the *whole* scan
-  (``K`` and the infinity sentinel are analytic scan-wide constants:
-  arrivals are window indices and no minimal trip exceeds ``num_steps``
-  hops), so one vectorized minimum over the packed keys — segment minima
-  via size-bucketed padded gathers over the hop rows sorted by source —
-  selects the earliest arrival with the fewest-hops tie-break for free.
-  The keys live in the narrowest signed integer dtype that holds the
-  largest key the scan can form (:func:`_key_dtype`): int32 for any
-  scan of up to ~46,000 windows, int16 or int8 for short ones, int64
-  beyond.  Direct-hop arrivals scatter in one shot and all updated rows
-  commit with a single fancy-indexed write.  The staged ``(hops ×
-  width)`` working set is chunked (whole sources per chunk) to bound
-  memory.  Consumers are fed in batch too: collectors via
-  ``record_batch`` (trip arrays unpacked to int64) and accumulators via
-  ``observe_rows``, which receives the packed old/new rows with ``K``
-  and ``a_inf`` and folds them directly; consumers without the batch
-  methods get a per-source adapter loop over unpacked rows — so
-  third-party consumers keep working unchanged.
-* ``legacy`` — the original per-source Python loop.  It is also the
-  in-tree oracle for the batched kernel and the kernel of
-  :func:`scan_stream`.
+* the **sparse row path** (:func:`_process_group_sparse`), when every
+  directed source of the window holds exactly one hop — a single link,
+  a matching, an in-star; the per-scan flags come from
+  :func:`_sparse_windows`.  Each source's candidate row is then just its
+  hop's continuation row, so the window is a handful of whole-array
+  operations: gather ``P[vs]``, add one hop, scatter the direct hops,
+  compare against the old keys' arrival floor, commit the minimum.  A
+  window of one directed hop — most windows of a fine-Δ sweep — runs the
+  same update on 1-d row views (:func:`_process_hop`).
+* the **batched kernel** (:func:`_process_group_batched`) otherwise: it
+  vectorizes the window across all sources, taking segment minima of
+  the packed keys via size-bucketed padded gathers over the hop rows
+  sorted by source; direct-hop arrivals scatter in one shot and all
+  updated rows commit with a single fancy-indexed write.  The staged
+  ``(hops × width)`` working set is chunked (whole sources per chunk) to
+  bound memory.
 
-:func:`scan_series` picks the kernel per scan from the series itself:
-its mean count of directed hop rows per nonempty window (edges, doubled
-when undirected, over nonempty windows).  Batching pays a fixed
-per-window setup that only pays off once a window holds a few hops, so
-scans at or above :data:`BATCHED_MIN_HOPS_PER_WINDOW` run batched and
-sparser ones run the row loop.  One paper Δ sweep crosses both regimes —
-fine-Δ windows hold about one link, coarse-Δ windows hundreds — so the
-choice is made per Δ, not per process.  Both kernels are bit-identical —
-same trips in the same order, same collector states, same accumulator
-sums — across directed/undirected input, ``targets`` shards,
-``include_self``, checkpoint/resume scans and every backend, so the
-choice never enters a cache key.
+Trips of consecutive sparse windows are buffered (:class:`_TripFeed`)
+and reach the collectors as **one** ``record_batch`` per run, in the
+row loop's emission order: window descending, then source, then
+destination.  The buffer is flushed before every batched window, before
+each checkpoint capture and consumer handoff, at the settled boundary
+or the end of the scan, and at :data:`FEED_MAX_ROWS` trips.  Every
+collector batch carries ``dep`` as an int64 array parallel to
+``targets``; accumulators are fed per window through ``observe_rows``,
+which receives the packed old/new rows with ``K`` and ``a_inf``.
+Consumers without the batch methods get adapters — per-``(dep,
+source)`` ``record`` calls and per-row ``observe_row`` calls over
+unpacked rows — so third-party consumers keep working unchanged.
+
+The original per-source row loop (:func:`_process_group`, unpacked
+``(A, H)`` state) remains for :func:`scan_stream`, whose float
+timestamps cannot be packed, and for the series scan whose keys would
+overflow int64 (:func:`_scan_rows`), which records and resumes no
+checkpoints; the tests use it as the oracle for the packed paths.  All
+paths are bit-identical — same trips in the same order, the same
+collector call sequence, same collector states, same accumulator sums —
+across directed/undirected input, ``targets`` shards, ``include_self``,
+checkpoint/resume scans and every backend, so the choice never enters a
+cache key and there is no knob to make it.
 
 One scan, many measures
 -----------------------
@@ -134,24 +145,11 @@ HOP_INF = np.iinfo(np.int64).max // 4
 
 #: Scan instrumentation: how many backward passes this process has run
 #: (``series``, ``stream``) and how many nonempty windows they processed
-#: under either kernel (``windows``).  The measure-fusion tests and
+#: on any scan path (``windows``).  The measure-fusion tests and
 #: benches assert "one scan per Δ", and the incremental ones "fewer
 #: windows rescanned", against these counters; they are plain tallies
 #: with no behavioural effect (each worker process keeps its own).
 SCAN_COUNTS = {"series": 0, "stream": 0, "windows": 0}
-
-#: Directed hop rows per nonempty window at and above which
-#: :func:`scan_series` runs the batched kernel.  Measured on 2 vCPUs
-#: over the 28-Δ grids of the irvine (n=300) and manufacturing (n=153)
-#: paper replicas, the crossover is sharp and the same on both: the row
-#: loop is up to 1.7x faster at ~1 row per window, the two tie at 2.5
-#: (legacy/batched time 1.01 at 2.52 rows, 1.04 at 2.69), and the
-#: batched kernel is up to 5.8x faster on dense windows.  End to end
-#: (``analyze_s`` of ``perfbench/run.py``), always-batched /
-#: always-legacy / this per-scan choice ran paper-cold in 24.4 / 19.0 /
-#: 17.1 s and dense-process in 3.61 / 7.69 / 3.73 s.  The value never
-#: affects results, only speed.
-BATCHED_MIN_HOPS_PER_WINDOW = 2.5
 
 #: Upper bound on the cells (hop rows × state width) the batched kernel
 #: stages per chunk; chunks always hold whole sources.  This bounds each
@@ -159,12 +157,11 @@ BATCHED_MIN_HOPS_PER_WINDOW = 2.5
 #: The value never affects results, only peak memory.
 BATCH_CELL_BUDGET = 1 << 20
 
-
-def _batched_pays(series: GraphSeries) -> bool:
-    """Whether ``series`` is dense enough for the batched kernel."""
-    windows = series.nonempty_steps().size
-    hops = series.edge_steps.size * (1 if series.directed else 2)
-    return hops >= BATCHED_MIN_HOPS_PER_WINDOW * max(windows, 1)
+#: Trips the sparse-window path buffers before handing them to the
+#: collectors (about 2 MB of trip arrays).  A run of sparse windows
+#: reaches the collectors as one batch up to this size.  The value never
+#: affects results, only peak memory.
+FEED_MAX_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,7 @@ class DistanceTotals:
         """Vectorized :meth:`observe_row` over one batch of packed rows.
 
         ``old_P``/``new_P`` are ``(len(sources), width)`` matrices of the
-        batched kernel's packed keys ``A * K + H`` (any integer dtype): a
+        scan's packed keys ``A * K + H`` (any integer dtype): a
         cell is finite when its key is below ``a_inf * K``, and infinite
         cells hold the canonical ``a_inf * K + (K - 1)``.
         ``self_cols`` is the per-row diagonal column (-1 where the target
@@ -523,7 +520,7 @@ class EarliestArrivalAccumulator:
     ) -> None:
         """Vectorized :meth:`observe_row` over one batch of packed rows.
 
-        Takes the batched kernel's packed rows (see
+        Takes the scan's packed rows (see
         :meth:`DistanceTotals.observe_rows`), folds every row's outgoing
         values over its pending departure run ``[step + 1, row_hi]`` in
         one closed-form pass (all integer arithmetic, so bit-identical
@@ -673,7 +670,7 @@ class ScanCheckpoint:
     pending departure run differs.  The state is stored as one read-only
     matrix ``P`` of packed keys ``A * K + H`` in the scan's key dtype
     (:func:`_key_dtype`), infinite cells at ``a_inf * K + (K - 1)``,
-    whichever kernel ran the scan.  ``K`` and ``a_inf`` follow the
+    whichever path ran each window.  ``K`` and ``a_inf`` follow the
     series length, which an append changes: a resumed scan with the same
     ``K`` compares keys directly, and one whose ``K`` grew compares the
     unpacked ``(A, H)`` of both sides.
@@ -905,10 +902,11 @@ def _process_group(
 ) -> int:
     """Apply one window's hops to the state; returns trips recorded.
 
-    The **legacy** kernel: one Python iteration per source row, run by
-    :func:`scan_series` on sparse series, by :func:`scan_stream`, and
-    the in-tree oracle for the batched kernel
-    (:func:`_process_group_batched`).
+    The **row loop**: one Python iteration per source row over unpacked
+    ``(A, H)`` state.  It runs :func:`scan_stream` (float timestamps
+    cannot be packed) and the rare :func:`scan_series` whose packed keys
+    would overflow int64 (:func:`_scan_rows`); the tests use it as the
+    oracle for the packed paths.
 
     ``us``/``vs`` are directed hops (already expanded for undirected
     input), deduplicated within the group.  All continuation reads come
@@ -1019,8 +1017,8 @@ def _key_dtype(a_inf: int, K: int) -> np.dtype | None:
     The largest key a scan forms is the incremented infinity sentinel
     ``(a_inf + 1) * K`` (see :func:`_process_group_batched`); every other
     intermediate — stash gathers, arrival floors, direct-hop keys — stays
-    below it.  One dtype serves the live batched state and every
-    checkpoint of the scan, whichever kernel runs it.
+    below it.  One dtype serves the live state and every checkpoint of
+    the scan, whichever path runs each window.
     """
     top = (a_inf + 1) * K
     for dtype in (np.int8, np.int16, np.int32, np.int64):
@@ -1050,29 +1048,294 @@ def _unpack_rows(
     return A, H
 
 
-def _pack_state(
-    A: np.ndarray, H: np.ndarray, K: int, a_inf: int, dtype: np.dtype
-) -> np.ndarray:
-    """Pack the row loop's ``(A, H)`` state into keys of ``dtype`` — the
-    inverse of :func:`_unpack_rows`.  Finite arrivals lie below
-    ``a_inf`` and finite hop counts below ``K - 1``, so clamping maps
-    exactly the sentinel cells onto the canonical infinite key."""
-    P = np.minimum(A, a_inf)
-    P *= K
-    P += np.minimum(H, K - 1)
-    return P.astype(dtype, copy=False)
+def _sparse_windows(series: GraphSeries) -> np.ndarray:
+    """Per nonempty window (ascending), whether every directed source of
+    the window holds exactly one hop — the windows
+    :func:`_process_group_sparse` applies.
+
+    Directed rows are lexsorted by ``(step, u, v)``, so a repeated source
+    sits next to itself.  An undirected link makes both endpoints
+    sources, so its window qualifies when all endpoints are distinct (a
+    matching); only windows of at most ``n / 2`` links can be one, so
+    only their rows are sorted.  Keeps nothing but the per-window flags.
+    """
+    step = series.edge_steps
+    windows = series.nonempty_steps()
+    if series.directed:
+        sparse = np.ones(windows.size, dtype=bool)
+        ends = series.edge_sources
+    else:
+        sizes = np.diff(np.append(np.searchsorted(step, windows), step.size))
+        sparse = sizes <= series.num_nodes // 2
+        small = np.repeat(sparse, sizes)
+        step = np.concatenate([step[small], step[small]])
+        ends = np.concatenate(
+            [series.edge_sources[small], series.edge_targets[small]]
+        )
+        order = np.lexsort((ends, step))
+        step = step[order]
+        ends = ends[order]
+    repeated = (step[1:] == step[:-1]) & (ends[1:] == ends[:-1])
+    sparse[np.searchsorted(windows, step[1:][repeated])] = False
+    return sparse
+
+
+def _feed_accumulators(
+    accumulators: list,
+    sources: np.ndarray,
+    time_value: int,
+    old_P: np.ndarray,
+    new_P: np.ndarray,
+    K: int,
+    a_inf: int,
+    self_cols: np.ndarray,
+) -> None:
+    """Hand one window's packed row updates to every accumulator.
+
+    ``observe_rows`` gets the packed rows; accumulators that only define
+    ``observe_row`` get the per-row adapter, fed unpacked rows in the row
+    loop's order (``sources`` ascending).
+    """
+    unpacked = None
+    for accumulator in accumulators:
+        observe_rows = getattr(accumulator, "observe_rows", None)
+        if observe_rows is not None:
+            observe_rows(
+                sources, time_value, old_P, new_P, K, a_inf, self_cols
+            )
+            continue
+        if unpacked is None:
+            unpacked = (
+                *_unpack_rows(old_P, K, a_inf),
+                *_unpack_rows(new_P, K, a_inf),
+            )
+        old_A, old_H, new_A, new_H = unpacked
+        for i in range(sources.size):
+            accumulator.observe_row(
+                int(sources[i]), time_value, old_A[i], old_H[i], new_A[i],
+                new_H[i], int(self_cols[i]),
+            )
+
+
+def _emit_trips(
+    collectors: list,
+    sources: np.ndarray,
+    deps: np.ndarray,
+    targets: np.ndarray,
+    cells: np.ndarray,
+    K: int,
+) -> None:
+    """Feed one batch of trips to every collector.
+
+    ``cells`` are the trips' committed packed keys.  Recorded cells
+    improved, hence are finite, so they unpack without sentinel fixup.
+    Collectors see int64 arrays whatever the key dtype, with ``deps``
+    parallel to ``targets``; ``record``-only collectors go through
+    :func:`~repro.temporal.collectors.record_batch_fallback`.
+    """
+    from repro.temporal.collectors import record_batch_fallback
+
+    cells = cells.astype(np.int64)
+    arrivals = cells // K
+    hops = cells - arrivals * K
+    durations = arrivals - deps + 1
+    for collector in collectors:
+        record_batch = getattr(collector, "record_batch", None)
+        if record_batch is not None:
+            record_batch(sources, deps, targets, arrivals, hops, durations)
+        else:
+            record_batch_fallback(
+                collector, sources, deps, targets, arrivals, hops, durations
+            )
+
+
+class _TripFeed:
+    """Trips of a run of sparse windows, buffered into one collector
+    batch.
+
+    Windows are added in scan order (descending), each with its trips
+    sorted by source, then destination, so the flushed batch is in the
+    row loop's emission order.  :func:`scan_series` flushes before every
+    batched window, checkpoint capture and consumer handoff, at the end
+    of the scan (settled or not), and once :data:`FEED_MAX_ROWS` trips
+    are waiting.
+    """
+
+    __slots__ = ("K", "rows", "_steps", "_counts", "_sources", "_targets",
+                 "_cells")
+
+    def __init__(self, K: int) -> None:
+        self.K = K
+        self._reset()
+
+    def _reset(self) -> None:
+        self.rows = 0
+        self._steps: list[int] = []
+        self._counts: list[int] = []
+        self._sources: list[np.ndarray] = []
+        self._targets: list[np.ndarray] = []
+        self._cells: list[np.ndarray] = []
+
+    def add(
+        self,
+        step: int,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        cells: np.ndarray,
+    ) -> None:
+        self.rows += sources.size
+        self._steps.append(step)
+        self._counts.append(sources.size)
+        self._sources.append(sources)
+        self._targets.append(targets)
+        self._cells.append(cells)
+
+    def flush(self, collectors: list) -> None:
+        if not self.rows:
+            return
+        sources = np.concatenate(self._sources)
+        targets = np.concatenate(self._targets)
+        cells = np.concatenate(self._cells)
+        deps = np.repeat(
+            np.asarray(self._steps, dtype=np.int64), self._counts
+        )
+        self._reset()
+        _emit_trips(collectors, sources, deps, targets, cells, self.K)
+
+
+def _process_group_sparse(
+    P: np.ndarray,
+    K: int,
+    a_inf: int,
+    time_value: int,
+    us: np.ndarray,
+    vs: np.ndarray,
+    feed: _TripFeed | None,
+    include_self: bool,
+    accumulators: list,
+    col_of: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
+) -> int:
+    """Apply one window in which every source holds exactly one hop;
+    returns trips recorded.  Bit-identical to :func:`_process_group`.
+
+    The sparse path of :func:`scan_series`, for the fine end of a Δ
+    sweep where a window holds about one link.  With one hop per source
+    the batched kernel's segment minimum is the hop's continuation row
+    itself, so the window is a handful of whole-array operations on the
+    packed state: gather the rows ``P[vs]`` (a copy, so every
+    continuation reads the pre-window state), add one hop, scatter the
+    direct hops, compare against the old keys' arrival floor, and commit
+    the minimum: no ``unique``, ``searchsorted``, stash or size
+    buckets.  ``us`` must be ascending (the row loop's source order).
+
+    Trips go to ``feed`` (``None`` when the scan has no trip collector)
+    instead of straight to the collectors, so a run of sparse windows
+    costs one collector call; accumulators are fed per window.
+    """
+    SCAN_COUNTS["windows"] += 1
+    rows = np.arange(us.size)
+    cand = P[vs]
+    cand += 1
+    direct = time_value * K + 1
+    if col_of is None:
+        cand[rows, vs] = direct
+        self_cols = us
+    else:
+        tpos = col_of[vs]
+        keep = tpos >= 0
+        cand[rows[keep], tpos[keep]] = direct
+        self_cols = col_of[us]
+    old_P = P[us]
+    floor = old_P // K
+    floor *= K
+    improved = cand < floor
+    new_P = np.minimum(cand, old_P, out=cand)
+    P[us] = new_P
+    if accumulators:
+        _feed_accumulators(
+            accumulators, us, time_value, old_P, new_P, K, a_inf, self_cols
+        )
+    if not include_self:
+        if col_of is None:
+            improved[rows, us] = False
+        else:
+            diag = self_cols >= 0
+            improved[rows[diag], self_cols[diag]] = False
+    if feed is None:
+        return int(np.count_nonzero(improved))
+    row_idx, col_idx = improved.nonzero()
+    if row_idx.size:
+        feed.add(
+            time_value,
+            us[row_idx],
+            col_idx if cols is None else cols[col_idx],
+            new_P[row_idx, col_idx],
+        )
+    return row_idx.size
+
+
+def _process_hop(
+    P: np.ndarray,
+    K: int,
+    a_inf: int,
+    time_value: int,
+    us: np.ndarray,
+    vs: np.ndarray,
+    feed: _TripFeed | None,
+    include_self: bool,
+    accumulators: list,
+    col_of: np.ndarray | None,
+    cols: np.ndarray | None,
+) -> int:
+    """:func:`_process_group_sparse` for a window of one directed hop —
+    most windows of a fine-Δ sweep — on 1-d row views, which halves the
+    cost of the window against the 2-d gathers.  Same arguments."""
+    SCAN_COUNTS["windows"] += 1
+    u = int(us[0])
+    v = int(vs[0])
+    cand = P[v] + 1
+    tpos = v if col_of is None else int(col_of[v])
+    if tpos >= 0:
+        cand[tpos] = time_value * K + 1
+    old_P = P[u]
+    floor = old_P // K
+    floor *= K
+    improved = cand < floor
+    if accumulators:
+        old_P = old_P.copy()  # the view would see the commit
+    new_P = np.minimum(cand, old_P, out=cand)
+    P[u] = new_P
+    self_col = u if col_of is None else int(col_of[u])
+    if accumulators:
+        _feed_accumulators(
+            accumulators, us, time_value, old_P[None], new_P[None], K,
+            a_inf, np.array([self_col]),
+        )
+    if not include_self and self_col >= 0:
+        improved[self_col] = False
+    if feed is None:
+        return int(np.count_nonzero(improved))
+    col_idx = improved.nonzero()[0]
+    if col_idx.size:
+        feed.add(
+            time_value,
+            us.repeat(col_idx.size),
+            col_idx if cols is None else cols[col_idx],
+            new_P[col_idx],
+        )
+    return col_idx.size
 
 
 def _process_group_batched(
     P: np.ndarray,
     K: int,
     a_inf: int,
-    time_value,
+    time_value: int,
     us: np.ndarray,
     vs: np.ndarray,
     collectors: list,
     include_self: bool,
-    duration_extra,
     accumulators: list,
     col_of: np.ndarray | None = None,
     cols: np.ndarray | None = None,
@@ -1102,11 +1365,8 @@ def _process_group_batched(
     vectorizable: reduceat's scalar inner loop is several times slower
     per cell); padding repeats each segment's first row, which is
     idempotent under ``min``.  Trip collectors are fed one flattened
-    batch per chunk (``record_batch`` when they implement it, trip
-    arrays unpacked to int64) and accumulators the chunk's packed
-    old/new row matrices (``observe_rows``); consumers without the batch
-    methods fall back to their per-source/per-row protocol, fed unpacked
-    rows in exactly the legacy order.
+    batch per chunk (:func:`_emit_trips`) and accumulators the chunk's
+    packed old/new row matrices (:func:`_feed_accumulators`).
 
     The staged working set — up to ``(hops × width)`` continuation cells,
     inflated at most 50% by pad rows — is chunked over whole sources
@@ -1115,8 +1375,6 @@ def _process_group_batched(
     cannot change results: chunks hold whole sources, and sources are
     independent.
     """
-    from repro.temporal.collectors import record_batch_fallback
-
     order = np.argsort(us, kind="stable")
     us = us[order]
     vs = vs[order]
@@ -1168,7 +1426,7 @@ def _process_group_batched(
         # low digit, + 1 increments the hop component alone.  All-
         # infinite segments carry (a_inf * K + K - 1) + 1 = (a_inf + 1)
         # * K, which still sorts above every real candidate and the
-        # stashed infinity — exactly legacy's never-committed
+        # stashed infinity — exactly the row loop's never-committed
         # HOP_INF + 1.
         P_cand += 1
         # A direct hop arrives at the current window itself, always
@@ -1185,10 +1443,10 @@ def _process_group_batched(
             P_cand[seg_ids[keep], tpos[keep]] = direct
 
         # Compare and commit entirely in key space: `candidate < floor`
-        # (floor = the old keys' arrival component alone) is legacy's
+        # (floor = the old keys' arrival component alone) is the row loop's
         # `arr < old_A` — strict arrival improvement, the trip-record
         # condition, independent of either hop count — and the
-        # lexicographic minimum with the old keys is legacy's
+        # lexicographic minimum with the old keys is the row loop's
         # improved/tie-better selection: a tie on arrival resolves to
         # the smaller hop via the low digit.
         u_pos = np.searchsorted(involved, chunk_sources)
@@ -1203,29 +1461,11 @@ def _process_group_batched(
             self_cols = chunk_sources
         else:
             self_cols = col_of[chunk_sources]
-        unpacked = None
-        for accumulator in accumulators:
-            observe_rows = getattr(accumulator, "observe_rows", None)
-            if observe_rows is not None:
-                observe_rows(
-                    chunk_sources, time_value, old_P, new_P, K, a_inf,
-                    self_cols,
-                )
-            else:
-                # Per-row adapter: third-party accumulators keep their
-                # observe_row protocol, fed unpacked rows in legacy
-                # (source) order.
-                if unpacked is None:
-                    unpacked = (
-                        *_unpack_rows(old_P, K, a_inf),
-                        *_unpack_rows(new_P, K, a_inf),
-                    )
-                old_A, old_H, new_A, new_H = unpacked
-                for i in range(chunk_sources.size):
-                    accumulator.observe_row(
-                        int(chunk_sources[i]), time_value, old_A[i],
-                        old_H[i], new_A[i], new_H[i], int(self_cols[i]),
-                    )
+        if accumulators:
+            _feed_accumulators(
+                accumulators, chunk_sources, time_value, old_P, new_P, K,
+                a_inf, self_cols,
+            )
 
         record = improved  # dead after the commit: safe to mutate
         if not include_self:
@@ -1233,31 +1473,18 @@ def _process_group_batched(
             if diag_rows.size:
                 record[diag_rows, self_cols[diag_rows]] = False
         # C-order nonzero: rows ascending, columns ascending within a
-        # row — exactly the legacy source-by-source emission order.
+        # row — exactly the row loop's source-by-source emission order.
         row_idx, col_idx = np.nonzero(record)
         trips_recorded += row_idx.size
         if collectors and row_idx.size:
-            trip_sources = chunk_sources[row_idx]
-            # Recorded cells improved, hence are finite: unpacking the
-            # gathered keys needs no sentinel fixup.  Collectors see
-            # int64 trip arrays whatever the key dtype.
-            cells = new_P[row_idx, col_idx].astype(np.int64)
-            arrivals = cells // K
-            hops_out = cells - arrivals * K
-            node_targets = col_idx if cols is None else cols[col_idx]
-            durations = arrivals - time_value + duration_extra
-            for collector in collectors:
-                record_batch = getattr(collector, "record_batch", None)
-                if record_batch is not None:
-                    record_batch(
-                        trip_sources, time_value, node_targets, arrivals,
-                        hops_out, durations,
-                    )
-                else:
-                    record_batch_fallback(
-                        collector, trip_sources, time_value, node_targets,
-                        arrivals, hops_out, durations,
-                    )
+            _emit_trips(
+                collectors,
+                chunk_sources[row_idx],
+                np.full(row_idx.size, time_value, dtype=np.int64),
+                col_idx if cols is None else cols[col_idx],
+                new_P[row_idx, col_idx],
+                K,
+            )
     return trips_recorded
 
 
@@ -1340,12 +1567,11 @@ def scan_series(
         windows above it.
 
     Both options change only how much work is redone, never any result.
-    The scan kernel follows the series' window density (see the module
-    docstring's *Scan kernels* section); it never changes any result
-    either.
+    Each window runs on the sparse path or the batched kernel (see the
+    module docstring's *Scan kernels* section); neither choice changes
+    any result either.
     """
     SCAN_COUNTS["series"] += 1
-    batched = _batched_pays(series)
     n = series.num_nodes
     items = (
         []
@@ -1365,42 +1591,35 @@ def scan_series(
         begin = getattr(accumulator, "begin", None)
         if begin is not None:
             begin(n, series.num_steps, cols)
-    recorder = checkpoints
-    if recorder is not None:
-        recorder.begin(int(series.nonempty_steps().size))
     # Analytic packing caps: arrivals and window indices are <
     # num_steps, and no minimal trip can take more than num_steps hops
     # (each hop departs one window later).  Both caps are scan-wide
-    # constants, so the batched state stays packed for the whole scan,
-    # in the narrowest dtype its keys fit.  Were the keys ever to
-    # overflow int64 (num_steps near 2**31), the scan runs the legacy
-    # kernel — bit-identical by contract — and records no checkpoints.
+    # constants, so the state stays packed for the whole scan, in the
+    # narrowest dtype its keys fit.  Were the keys ever to overflow
+    # int64 (num_steps near 2**31), the scan runs the row loop —
+    # bit-identical by contract — and records and resumes nothing.
     a_inf = max(int(series.num_steps), 1)
     K = a_inf + 2
     key_dtype = _key_dtype(a_inf, K)
     if key_dtype is None:
-        batched = False
-        recorder = None
-    if batched:
-        P = np.full((n, width), a_inf * K + (K - 1), dtype=key_dtype)
-    else:
-        A = np.full((n, width), INT_INF, dtype=np.int64)
-        H = np.full((n, width), HOP_INF, dtype=np.int64)
-    state_bytes = 0 if key_dtype is None else n * width * key_dtype.itemsize
-
-    def packed_state() -> np.ndarray:
-        # A copy of the live state as packed keys: the checkpoint form.
-        if batched:
-            return P.copy()
-        return _pack_state(A, H, K, a_inf, key_dtype)
+        num_trips = _scan_rows(
+            series, collectors, accumulators, include_self, col_of, cols
+        )
+        return ScanResult(num_trips=num_trips, num_steps=series.num_steps)
+    P = np.full((n, width), a_inf * K + (K - 1), dtype=key_dtype)
+    recorder = checkpoints
+    if recorder is not None:
+        recorder.begin(int(series.nonempty_steps().size))
+    # Scan order is descending, the flags ascending.
+    sparse = _sparse_windows(series)[::-1]
+    feed = _TripFeed(K)
 
     def settles(ckpt: ScanCheckpoint) -> bool:
         # Whether the live state equals a checkpoint's: keys compare
         # directly under the same K, unpacked (A, H) across a grown K.
         if ckpt.K == K:
-            live = P if batched else _pack_state(A, H, K, a_inf, key_dtype)
-            return np.array_equal(live, ckpt.P)
-        live_A, live_H = _unpack_rows(P, K, a_inf) if batched else (A, H)
+            return np.array_equal(P, ckpt.P)
+        live_A, live_H = _unpack_rows(P, K, a_inf)
         ck_A, ck_H = _unpack_rows(ckpt.P, ckpt.K, ckpt.a_inf)
         return np.array_equal(live_A, ck_A) and np.array_equal(live_H, ck_H)
 
@@ -1415,7 +1634,7 @@ def scan_series(
     #: reused cached tail, in scan order.
     assembly: list[tuple] = []
 
-    for step, u, v in series.edge_groups(reverse=True):
+    for (step, u, v), is_sparse in zip(series.edge_groups(reverse=True), sparse):
         if resume is not None and last_processed is not None:
             found = resume.candidate(step)
             if (
@@ -1425,10 +1644,12 @@ def scan_series(
             ):
                 settled_index = found[0]
                 break
-        if recorder is not None and recorder.wants(iteration, state_bytes):
+        if recorder is not None and recorder.wants(iteration, P.nbytes):
             # last_processed is never None here: wants() skips iteration 0.
+            # Buffered trips belong to the span that ends here.
+            feed.flush(collectors)
             recorder.capture(
-                ScanCheckpoint(step, last_processed, packed_state(), K, a_inf)
+                ScanCheckpoint(step, last_processed, P.copy(), K, a_inf)
             )
             if captures:
                 recorder.store_span(items, num_trips - span_trip_base)
@@ -1445,18 +1666,32 @@ def scan_series(
                 accumulator.close_run(step + 1, last_processed)
         if not series.directed:
             u, v = _expand_undirected(u, v)
-        if batched:
-            num_trips += _process_group_batched(
-                P, K, a_inf, step, u, v, collectors, include_self, 1,
-                accumulators, col_of, cols,
+        if is_sparse:
+            if u.size == 1:
+                sparse_path = _process_hop
+            else:
+                sparse_path = _process_group_sparse
+                if not series.directed:
+                    # Each source holds one hop: order the hops by source.
+                    order = np.argsort(u)
+                    u = u[order]
+                    v = v[order]
+            num_trips += sparse_path(
+                P, K, a_inf, step, u, v, feed if collectors else None,
+                include_self, accumulators, col_of, cols,
             )
+            if feed.rows >= FEED_MAX_ROWS:
+                feed.flush(collectors)
         else:
-            num_trips += _process_group(
-                A, H, step, u, v, collectors, include_self, 1,
+            feed.flush(collectors)
+            num_trips += _process_group_batched(
+                P, K, a_inf, step, u, v, collectors, include_self,
                 accumulators, col_of, cols,
             )
         last_processed = step
         iteration += 1
+    # The end of the scan, or its settled boundary.
+    feed.flush(collectors)
 
     if settled_index is not None:
         # Settled: every window at and below the boundary is served from
@@ -1476,16 +1711,7 @@ def scan_series(
             recorder.adopt_tail(tail_ckpts, tail_spans, tail_trips)
         assembly.extend(tail_spans)
     else:
-        if accumulators and last_processed is not None:
-            # Departures at or below the earliest nonempty window all see
-            # the final state.
-            for accumulator in accumulators:
-                accumulator.close_run(0, last_processed)
-        for accumulator in accumulators:
-            # Completion hook: row-wise accumulators fold their tails here.
-            finish = getattr(accumulator, "finish", None)
-            if finish is not None:
-                finish()
+        _finish_accumulators(accumulators, last_processed)
         if captures:
             if recorder is not None:
                 recorder.store_span(items, num_trips - span_trip_base)
@@ -1495,6 +1721,50 @@ def scan_series(
         for original, part in zip(originals, span):
             _absorb_span(original, part)
     return ScanResult(num_trips=num_trips, num_steps=series.num_steps)
+
+
+def _finish_accumulators(accumulators: list, last_processed: int | None) -> None:
+    """Fold the departures at or below the earliest nonempty window (they
+    all see the final state), then run every completion hook."""
+    if last_processed is not None:
+        for accumulator in accumulators:
+            accumulator.close_run(0, last_processed)
+    for accumulator in accumulators:
+        # Row-wise accumulators fold their tails here.
+        finish = getattr(accumulator, "finish", None)
+        if finish is not None:
+            finish()
+
+
+def _scan_rows(
+    series: GraphSeries,
+    collectors: list,
+    accumulators: list,
+    include_self: bool,
+    col_of: np.ndarray | None,
+    cols: np.ndarray | None,
+) -> int:
+    """The row-loop scan of a series whose packed keys would overflow
+    int64; returns the trip count.  It records no checkpoints and
+    resumes from none (either would need packed keys)."""
+    width = series.num_nodes if cols is None else cols.size
+    A = np.full((series.num_nodes, width), INT_INF, dtype=np.int64)
+    H = np.full((series.num_nodes, width), HOP_INF, dtype=np.int64)
+    num_trips = 0
+    last_processed: int | None = None
+    for step, u, v in series.edge_groups(reverse=True):
+        if last_processed is not None:
+            for accumulator in accumulators:
+                accumulator.close_run(step + 1, last_processed)
+        if not series.directed:
+            u, v = _expand_undirected(u, v)
+        num_trips += _process_group(
+            A, H, step, u, v, collectors, include_self, 1, accumulators,
+            col_of, cols,
+        )
+        last_processed = step
+    _finish_accumulators(accumulators, last_processed)
+    return num_trips
 
 
 def series_distance_stats(
@@ -1613,12 +1883,12 @@ def scan_stream(
     of them; state accumulators are series-only (the closed-form run
     folding assumes integer window indices).
 
-    Stream scans always run the legacy per-source kernel: float
-    timestamps make trip durations float, and a batched collector feed
-    would sum them in a different association order than per-source
-    ``record`` calls — the one case where batching is not bit-exact.
-    Series scans (integer window indices, integer durations) are where
-    the hot sweeps live; dense ones run the batched kernel.
+    Stream scans always run the per-source row loop: float timestamps
+    cannot be packed into integer keys, float trip durations would sum
+    in a different association order under a batched collector feed
+    than under per-source ``record`` calls, and a stream scan runs once
+    per analysis.  Series scans (integer window indices, integer
+    durations) are where the hot sweeps live; they run on packed keys.
     """
     SCAN_COUNTS["stream"] += 1
     n = stream.num_nodes

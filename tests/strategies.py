@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.graphseries import GraphSeries
 from repro.linkstream import LinkStream
 from repro.temporal import reachability
 
@@ -62,33 +61,95 @@ def occupancy_samples(draw, *, max_atoms: int = 30):
     return [float(a) for a in atoms], weights
 
 
-#: The ways a test runs ``scan_series``: the density choice, or one
-#: kernel forced through :func:`force_scan_kernel` — the batched kernel
-#: on its narrowest keys, on int64 ("wide") keys, or the row loop.
+#: The ways a test runs ``scan_series``: its own per-window dispatch
+#: ("auto"), the batched kernel on every window ("batched"), the
+#: dispatch on int64 keys ("wide"), or the row loop ("legacy") —
+#: see :func:`force_scan_kernel`.
 KERNEL_CHOICES = ("auto", "batched", "wide", "legacy")
+
+#: The choices that record checkpoints: the row loop runs only where
+#: packed keys would overflow, and such a scan records none.
+CHECKPOINT_KERNELS = ("auto", "batched", "wide")
 
 
 def force_scan_kernel(monkeypatch, kernel: str) -> None:
-    """Force every following ``scan_series`` onto one kernel.
+    """Force every following ``scan_series`` onto one scan path.
 
-    The scan runs batched when its hop rows per window reach
-    ``BATCHED_MIN_HOPS_PER_WINDOW``, so a zero threshold forces the
-    batched kernel and an infinite one the legacy row loop; ``"auto"``
-    leaves the measured crossover in place.  ``"wide"`` forces the
-    batched kernel and widens every scan's packed keys (live state and
-    checkpoints) to int64 through the key-dtype helper.
+    ``"auto"`` leaves the per-window dispatch in place: the sparse path
+    for windows whose sources hold one hop each, the batched kernel for
+    the rest.  ``"batched"`` turns the sparse path off by flagging no
+    window sparse.  ``"wide"`` keeps the dispatch but widens every
+    scan's packed keys (live state and checkpoints) to int64 through
+    the key-dtype helper.  ``"legacy"`` makes the key-dtype helper
+    report an int64 overflow, so the scan takes its row-loop fallback
+    (which records and resumes no checkpoints).
     """
-    if kernel != "auto":
-        threshold = math.inf if kernel == "legacy" else 0.0
+    if kernel == "batched":
         monkeypatch.setattr(
-            reachability, "BATCHED_MIN_HOPS_PER_WINDOW", threshold
+            reachability,
+            "_sparse_windows",
+            lambda series: np.zeros(series.nonempty_steps().size, dtype=bool),
         )
-    if kernel == "wide":
+    elif kernel in ("wide", "legacy"):
         narrowest = reachability._key_dtype
 
-        def wide(a_inf, K):
-            if narrowest(a_inf, K) is None:
+        def forced(a_inf, K):
+            if kernel == "legacy" or narrowest(a_inf, K) is None:
                 return None
             return np.dtype(np.int64)
 
-        monkeypatch.setattr(reachability, "_key_dtype", wide)
+        monkeypatch.setattr(reachability, "_key_dtype", forced)
+    elif kernel != "auto":
+        raise ValueError(f"unknown scan kernel choice {kernel!r}")
+
+
+#: Window shapes of :func:`shaped_series`.  Single links, matchings and
+#: in-stars give every source one hop (the sparse path); out-stars,
+#: undirected stars and arbitrary link sets give some source several.
+WINDOW_SHAPES = ("empty", "single", "matching", "in_star", "out_star", "any")
+
+
+@st.composite
+def shaped_series(
+    draw, *, min_nodes: int = 3, max_nodes: int = 7, max_steps: int = 8
+) -> GraphSeries:
+    """Random small graph series whose windows mix single links,
+    matchings, stars and arbitrary link sets."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    num_steps = draw(st.integers(1, max_steps))
+    directed = draw(st.booleans())
+    rows = set()
+    for step in range(num_steps):
+        shape = draw(st.sampled_from(WINDOW_SHAPES))
+        nodes = draw(st.permutations(range(n)))
+        if shape == "single":
+            pairs = [(nodes[0], nodes[1])]
+        elif shape == "matching":
+            size = draw(st.integers(1, n // 2))
+            pairs = [(nodes[2 * i], nodes[2 * i + 1]) for i in range(size)]
+        elif shape in ("in_star", "out_star"):
+            size = draw(st.integers(2, n - 1))
+            pairs = [(nodes[0], nodes[i]) for i in range(1, size + 1)]
+            if shape == "in_star":
+                pairs = [(v, u) for u, v in pairs]
+        elif shape == "any":
+            pairs = draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, n - 1), st.integers(0, n - 1)
+                    ).filter(lambda e: e[0] != e[1]),
+                    min_size=1,
+                    max_size=2 * n,
+                )
+            )
+        else:
+            pairs = []
+        for u, v in pairs:
+            if not directed:
+                u, v = min(u, v), max(u, v)
+            rows.add((step, u, v))
+    step, u, v = (
+        np.array(column, dtype=np.int64)
+        for column in (zip(*sorted(rows)) if rows else ([], [], []))
+    )
+    return GraphSeries(n, num_steps, step, u, v, directed=directed)

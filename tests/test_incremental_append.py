@@ -6,8 +6,8 @@ memo-staleness regression (a grown stream never inherits its base's
 memoized statistics), the checkpoint/resume scan machinery behind
 :class:`IncrementalScanSession`, blocked-column per-pair reachability
 against the brute-force oracle, and the headline property: extend +
-analyze is bit-identical to from-scratch analysis, on both scan
-kernels, including straddling-window and empty appends.
+analyze is bit-identical to from-scratch analysis, on every scan
+path, including straddling-window and empty appends.
 """
 
 import numpy as np
@@ -47,7 +47,12 @@ from repro.utils.errors import (
     LinkStreamError,
     ValidationError,
 )
-from tests.strategies import KERNEL_CHOICES, force_scan_kernel, link_streams
+from tests.strategies import (
+    CHECKPOINT_KERNELS,
+    KERNEL_CHOICES,
+    force_scan_kernel,
+    link_streams,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -333,30 +338,29 @@ class TestCheckpointResume:
         assert _consumer_state(consumers) == _consumer_state(plain)
 
 
-    @pytest.mark.parametrize("kernel", ["batched", "legacy"])
+    @pytest.mark.parametrize("kernel", ["batched", "auto"])
     def test_budget_below_one_state_packs_nothing(self, kernel, monkeypatch):
         # The recorder checks a state's byte cost before the scan copies
-        # or packs it: a budget one byte short of a state builds no
-        # checkpoint at all, and the results stay bit-identical.
+        # it: a budget one byte short of a state builds no checkpoint at
+        # all, and the results stay bit-identical.
         force_scan_kernel(monkeypatch, kernel)
         built = []
-        pack = reachability._pack_state
-
-        def spy_pack(*args):
-            built.append("pack")
-            return pack(*args)
+        copied = []
 
         class SpyCheckpoint(reachability.ScanCheckpoint):
-            def __init__(self, *args):
+            def __init__(self, window, last_processed, P, K, a_inf):
                 built.append("checkpoint")
-                super().__init__(*args)
+                copied.append(P)
+                super().__init__(window, last_processed, P, K, a_inf)
 
-        monkeypatch.setattr(reachability, "_pack_state", spy_pack)
         monkeypatch.setattr(reachability, "ScanCheckpoint", SpyCheckpoint)
         series = aggregate(small_stream(), 40.0)
         unbounded = CheckpointRecorder()
         scan_series(series, _consumer_set(), checkpoints=unbounded)
         assert unbounded.checkpoints and built
+        # Every capture is its own frozen copy, never the live state.
+        assert len({id(P) for P in copied}) == len(copied)
+        assert all(P.base is None for P in copied)
         state_bytes = unbounded.checkpoints[0].nbytes
         assert state_bytes == series.num_nodes**2 * np.dtype(np.int16).itemsize
 
@@ -371,7 +375,75 @@ class TestCheckpointResume:
         assert result.num_trips == baseline.num_trips
         assert _consumer_state(consumers) == _consumer_state(plain)
 
-    @pytest.mark.parametrize("kernel", KERNEL_CHOICES)
+    def test_captures_and_settle_inside_a_fused_sparse_run(self, monkeypatch):
+        # Every window of a fine-Δ series holds one link, so the whole
+        # scan is one run of sparse windows whose trips are buffered:
+        # each capture, handoff and the settled boundary must flush the
+        # buffer into the span the trips belong to.
+        calls = {"sparse": 0, "batched": 0}
+        for name, key in (
+            ("_process_group_sparse", "sparse"),
+            ("_process_hop", "sparse"),
+            ("_process_group_batched", "batched"),
+        ):
+            inner = getattr(reachability, name)
+
+            def spy(*args, _inner=inner, _key=key, **kwargs):
+                calls[_key] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(reachability, name, spy)
+        base = small_stream(m=400, span=4000.0)
+        u, v, t = append_batch(base, m=20, span=200.0)
+        grown = base.extend(u, v, t)
+        delta = 0.25
+        base_series = aggregate(base, delta)
+        grown_series = aggregate(grown, delta)
+        assert reachability._sparse_windows(grown_series).all()
+
+        def consumers():
+            return _consumer_set() + [TripListCollector()]
+
+        record = CheckpointRecorder()
+        recorded = consumers()
+        scan_series(base_series, recorded, checkpoints=record)
+        assert len(record.checkpoints) > 4
+        assert calls["batched"] == 0 and calls["sparse"]
+        # Span i holds exactly the trips departing in its windows.
+        bounds = [c.window for c in record.checkpoints] + [-1]
+        for i, span in enumerate(record.spans):
+            trips = span[-1].trips()
+            assert trips.dep.size == record.span_trips[i]
+            assert np.all(trips.dep <= bounds[i])
+            assert np.all(trips.dep > bounds[i + 1])
+        plain = consumers()
+        scan_series(base_series, plain)
+        assert _consumer_state(recorded[:4]) == _consumer_state(plain[:4])
+        assert np.array_equal(
+            recorded[-1].trips().dep, plain[-1].trips().dep
+        )
+
+        straddle = int(window_index(t[:1], delta, float(base.t_min))[0])
+        plan = ResumePlan(
+            record.checkpoints, record.spans, record.span_trips,
+            limit=straddle,
+        )
+        before = calls["sparse"]
+        warm = consumers()
+        warm_result = scan_series(grown_series, warm, resume=plan)
+        warm_windows = calls["sparse"] - before
+        cold = consumers()
+        cold_result = scan_series(grown_series, cold)
+        assert warm_windows < calls["sparse"] - before - warm_windows
+        assert warm_result.num_trips == cold_result.num_trips
+        assert _consumer_state(warm[:4]) == _consumer_state(cold[:4])
+        warm_trips, cold_trips = warm[-1].trips(), cold[-1].trips()
+        for field in ("u", "v", "dep", "arr", "hops", "durations"):
+            assert np.array_equal(
+                getattr(warm_trips, field), getattr(cold_trips, field)
+            ), field
+
+    @pytest.mark.parametrize("kernel", CHECKPOINT_KERNELS)
     def test_resume_across_an_append_that_grows_the_key_base(
         self, kernel, monkeypatch
     ):
@@ -567,8 +639,8 @@ def test_extend_analyze_bit_identical_to_from_scratch(scenario, delta, kernel):
     """The headline property: warm append-then-analyze == from-scratch.
 
     Random base x random append batch (possibly empty, possibly landing
-    in the base's last window) x Δ grid x the density choice or either
-    forced scan kernel: recording a scan on the base, extending, and
+    in the base's last window) x Δ grid x every scan path choice:
+    recording a scan on the base, extending, and
     resuming must be bit-identical to a cold scan of the rebuilt stream
     — same trips in the same order, same accumulator matrices, same
     spliced series.

@@ -33,7 +33,7 @@ from repro.generators import time_uniform_stream
 from repro.linkstream import read_tsv, write_tsv
 from repro.reporting import render_analysis
 from repro.service import AnalysisService, ServiceClient
-from repro.service.daemon import ServiceServer
+from repro.service.daemon import MAX_BODY_BYTES, ServiceServer
 from repro.temporal.reachability import SCAN_COUNTS
 from repro.utils.errors import (
     AdmissionError,
@@ -365,6 +365,27 @@ class TestHTTPDaemon:
             conn.close()
         assert response.status == 400
         assert "Content-Length" in payload["error"]
+        assert daemon.health()["status"] == "ok"
+
+    def test_oversized_body_is_413_before_reading(self, daemon):
+        # A declared length above the cap is refused without buffering
+        # the body (none is sent here: a read would block until the
+        # timeout), and the connection is closed.
+        url = urlparse(daemon.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/streams")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            closing = response.getheader("Connection")
+        finally:
+            conn.close()
+        assert response.status == 413
+        assert payload["kind"] == "too_large"
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert closing == "close"
         assert daemon.health()["status"] == "ok"
 
     def test_non_utf8_stream_body_is_400(self, daemon):
