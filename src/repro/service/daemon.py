@@ -63,8 +63,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import socket
 import tempfile
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -97,6 +99,11 @@ API_VERSION = "v1"
 #: above it is refused with a 413 before a byte is buffered; streams
 #: larger than this belong in a catalog (``repro datasets ingest``).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: How long the daemon keeps reading and dropping a refused body after
+#: its 413.  Closing a socket with unread data resets the connection,
+#: and a client still sending the body would see the reset, not the 413.
+DISCARD_SECONDS = 5.0
 
 
 def _coalesce_key(kind: str, fingerprint: str, specs, **params) -> str:
@@ -492,6 +499,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/" + API_VERSION
     protocol_version = "HTTP/1.1"
+    #: Declared body bytes a refused request left unread.
+    unread_body = 0
 
     @property
     def service(self) -> AnalysisService:
@@ -535,12 +544,39 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             # Refuse before reading; the unread body makes the
             # connection unusable for a further request.
             self.close_connection = True
+            self.unread_body = length
             raise ServiceError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit",
                 status=413,
             )
         return self.rfile.read(length) if length else b""
+
+    def _discard_unread_body(self) -> None:
+        """Read and drop the rest of a refused body — at most its declared
+        length, for at most :data:`DISCARD_SECONDS` — so the connection
+        closes without a reset after the client has the response."""
+        deadline = time.monotonic() + DISCARD_SECONDS
+        left = self.unread_body
+        try:
+            # The response is complete: the client reads it up to EOF.
+            self.connection.shutdown(socket.SHUT_WR)
+            while left > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self.connection.settimeout(remaining)
+                chunk = self.rfile.read1(min(left, 1 << 16))
+                if not chunk:
+                    break
+                left -= len(chunk)
+        except OSError:  # timed out or reset: the socket closes anyway
+            pass
+
+    def finish(self) -> None:
+        if self.unread_body:
+            self._discard_unread_body()
+        super().finish()
 
     def _read_json(self) -> dict:
         body = self._read_body()

@@ -48,9 +48,7 @@ of two paths over that state:
   :func:`_sparse_windows`.  Each source's candidate row is then just its
   hop's continuation row, so the window is a handful of whole-array
   operations: gather ``P[vs]``, add one hop, scatter the direct hops,
-  compare against the old keys' arrival floor, commit the minimum.  A
-  window of one directed hop — most windows of a fine-Δ sweep — runs the
-  same update on 1-d row views (:func:`_process_hop`).
+  compare against the old keys' arrival floor, commit the minimum.
 * the **batched kernel** (:func:`_process_group_batched`) otherwise: it
   vectorizes the window across all sources, taking segment minima of
   the packed keys via size-bucketed padded gathers over the hop rows
@@ -1275,58 +1273,6 @@ def _process_group_sparse(
     return row_idx.size
 
 
-def _process_hop(
-    P: np.ndarray,
-    K: int,
-    a_inf: int,
-    time_value: int,
-    us: np.ndarray,
-    vs: np.ndarray,
-    feed: _TripFeed | None,
-    include_self: bool,
-    accumulators: list,
-    col_of: np.ndarray | None,
-    cols: np.ndarray | None,
-) -> int:
-    """:func:`_process_group_sparse` for a window of one directed hop —
-    most windows of a fine-Δ sweep — on 1-d row views, which halves the
-    cost of the window against the 2-d gathers.  Same arguments."""
-    SCAN_COUNTS["windows"] += 1
-    u = int(us[0])
-    v = int(vs[0])
-    cand = P[v] + 1
-    tpos = v if col_of is None else int(col_of[v])
-    if tpos >= 0:
-        cand[tpos] = time_value * K + 1
-    old_P = P[u]
-    floor = old_P // K
-    floor *= K
-    improved = cand < floor
-    if accumulators:
-        old_P = old_P.copy()  # the view would see the commit
-    new_P = np.minimum(cand, old_P, out=cand)
-    P[u] = new_P
-    self_col = u if col_of is None else int(col_of[u])
-    if accumulators:
-        _feed_accumulators(
-            accumulators, us, time_value, old_P[None], new_P[None], K,
-            a_inf, np.array([self_col]),
-        )
-    if not include_self and self_col >= 0:
-        improved[self_col] = False
-    if feed is None:
-        return int(np.count_nonzero(improved))
-    col_idx = improved.nonzero()[0]
-    if col_idx.size:
-        feed.add(
-            time_value,
-            us.repeat(col_idx.size),
-            col_idx if cols is None else cols[col_idx],
-            new_P[col_idx],
-        )
-    return col_idx.size
-
-
 def _process_group_batched(
     P: np.ndarray,
     K: int,
@@ -1667,16 +1613,12 @@ def scan_series(
         if not series.directed:
             u, v = _expand_undirected(u, v)
         if is_sparse:
-            if u.size == 1:
-                sparse_path = _process_hop
-            else:
-                sparse_path = _process_group_sparse
-                if not series.directed:
-                    # Each source holds one hop: order the hops by source.
-                    order = np.argsort(u)
-                    u = u[order]
-                    v = v[order]
-            num_trips += sparse_path(
+            if not series.directed:
+                # Each source holds one hop: order the hops by source.
+                order = np.argsort(u)
+                u = u[order]
+                v = v[order]
+            num_trips += _process_group_sparse(
                 P, K, a_inf, step, u, v, feed if collectors else None,
                 include_self, accumulators, col_of, cols,
             )

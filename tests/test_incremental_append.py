@@ -383,7 +383,6 @@ class TestCheckpointResume:
         calls = {"sparse": 0, "batched": 0}
         for name, key in (
             ("_process_group_sparse", "sparse"),
-            ("_process_hop", "sparse"),
             ("_process_group_batched", "batched"),
         ):
             inner = getattr(reachability, name)

@@ -129,7 +129,6 @@ def _path_spy(monkeypatch):
     calls = {"sparse": 0, "batched": 0, "legacy": 0}
     for path, name in (
         ("sparse", "_process_group_sparse"),
-        ("sparse", "_process_hop"),
         ("batched", "_process_group_batched"),
         ("legacy", "_process_group"),
     ):
@@ -323,9 +322,7 @@ class TestPackedKeys:
         expected = reachability._key_dtype(a_inf, a_inf + 2)
         assert expected == np.int32
         live = {}
-        for name in (
-            "_process_group_sparse", "_process_hop", "_process_group_batched"
-        ):
+        for name in ("_process_group_sparse", "_process_group_batched"):
             inner = getattr(reachability, name)
 
             def spy(P, *args, _inner=inner, _name=name, **kwargs):

@@ -388,6 +388,30 @@ class TestHTTPDaemon:
         assert closing == "close"
         assert daemon.health()["status"] == "ok"
 
+    def test_oversized_body_streamed_anyway_still_reads_413(self, daemon):
+        # A client that sends the whole oversized body before reading
+        # must get the 413, not a reset from a close over unread data.
+        url = urlparse(daemon.base_url)
+        size = MAX_BODY_BYTES + 1
+        chunk = bytes(1 << 20)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/v1/streams")
+            conn.putheader("Content-Length", str(size))
+            conn.endheaders()
+            sent = 0
+            while sent < size:
+                part = chunk[: size - sent]
+                conn.send(part)
+                sent += len(part)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 413
+        assert payload["kind"] == "too_large"
+        assert daemon.health()["status"] == "ok"
+
     def test_non_utf8_stream_body_is_400(self, daemon):
         with pytest.raises(ServiceError, match="not UTF-8") as excinfo:
             daemon._request("POST", "/v1/streams", raw_body=b"0\t1\t\xff\n")
